@@ -21,7 +21,8 @@ type RowsResult struct {
 // plan cache, budgets, estimator fallback, workload recording included —
 // and the presentation clauses (projection, ORDER BY, LIMIT) are applied to
 // the executed rows. ORDER BY sorts are stable over the executor's
-// deterministic output order, so results replay byte-identically.
+// deterministic output order, so results replay byte-identically; with a
+// LIMIT below the row count only the top rows are kept and sorted.
 func (s *Session) Query(sql string) (*RowsResult, error) {
 	st, err := sqlparse.Parse(s.eng.cat, sql)
 	if err != nil {
@@ -66,22 +67,27 @@ func (s *Session) Query(sql string) (*RowsResult, error) {
 				return nil, err
 			}
 		}
-		sorted := make([][]int64, len(rows))
-		copy(sorted, rows)
-		sort.SliceStable(sorted, func(i, j int) bool {
+		cmp := func(a, b []int64) int {
 			for n, off := range keys {
-				a, b := sorted[i][off], sorted[j][off]
-				if a == b {
+				x, y := a[off], b[off]
+				if x == y {
 					continue
 				}
-				if st.OrderBy[n].Desc {
-					return a > b
+				if (x < y) != st.OrderBy[n].Desc {
+					return -1
 				}
-				return a < b
+				return 1
 			}
-			return false
-		})
-		rows = sorted
+			return 0
+		}
+		if st.Limit >= 0 && st.Limit < len(rows) {
+			rows = topK(rows, st.Limit, cmp)
+		} else {
+			sorted := make([][]int64, len(rows))
+			copy(sorted, rows)
+			sort.SliceStable(sorted, func(i, j int) bool { return cmp(sorted[i], sorted[j]) < 0 })
+			rows = sorted
+		}
 	}
 	if st.Limit >= 0 && len(rows) > st.Limit {
 		rows = rows[:st.Limit]
@@ -115,4 +121,53 @@ func (s *Session) Query(sql string) (*RowsResult, error) {
 		out[i] = row
 	}
 	return &RowsResult{Columns: names, Rows: out, Exec: res}, nil
+}
+
+// topK returns the first k rows in cmp order, ties kept in input order: the
+// same rows, in the same order, as a stable sort truncated to k. It holds k
+// row positions in a max-heap whose root is the kept row that sorts last.
+func topK(rows [][]int64, k int, cmp func(a, b []int64) int) [][]int64 {
+	if k == 0 {
+		return rows[:0]
+	}
+	// before reports whether position i sorts ahead of position j.
+	before := func(i, j int) bool {
+		c := cmp(rows[i], rows[j])
+		return c < 0 || (c == 0 && i < j)
+	}
+	h := make([]int, 0, k)
+	down := func(i int) {
+		for {
+			c := 2*i + 1
+			if c >= len(h) {
+				return
+			}
+			if c+1 < len(h) && before(h[c], h[c+1]) {
+				c++
+			}
+			if !before(h[i], h[c]) {
+				return
+			}
+			h[i], h[c] = h[c], h[i]
+			i = c
+		}
+	}
+	for i := range rows {
+		if len(h) < k {
+			if h = append(h, i); len(h) == k {
+				for j := k/2 - 1; j >= 0; j-- {
+					down(j)
+				}
+			}
+		} else if before(i, h[0]) {
+			h[0] = i
+			down(0)
+		}
+	}
+	sort.Slice(h, func(a, b int) bool { return before(h[a], h[b]) })
+	out := make([][]int64, k)
+	for i, p := range h {
+		out[i] = rows[p]
+	}
+	return out
 }

@@ -3,99 +3,88 @@ package exec
 import (
 	"sort"
 
-	"ml4db/internal/mlmath"
 	"ml4db/internal/sqlkit/plan"
 )
 
-// aggCell accumulates one group: COUNT(*) plus one running sum per SumCol.
-type aggCell struct {
-	count int64
-	sums  []int64
+// aggTable keeps groups in flat slots, column-major in the output layout:
+// cols[0][s] is slot s's group key, cols[1][s] its COUNT(*), and cols[2+j][s]
+// its j-th running sum.
+type aggTable struct {
+	slots map[int64]int32
+	cols  [][]int64
+}
+
+// slot returns key's slot, opening an empty one on first sight.
+func (a *aggTable) slot(key int64) int {
+	s, ok := a.slots[key]
+	if !ok {
+		s = int32(len(a.cols[0]))
+		a.slots[key] = s
+		a.cols[0] = append(a.cols[0], key)
+		for c := 1; c < len(a.cols); c++ {
+			a.cols[c] = append(a.cols[c], 0)
+		}
+	}
+	return int(s)
 }
 
 // hashAgg groups the single child's rows by GroupCol and emits one row per
 // group — [group, COUNT(*), SUM(col)...] — in ascending group order. Each
 // input row charges AggInput; each emitted group charges OutputTuple and one
-// materialized row. With Partitions > 1 the accumulation phase runs over
-// contiguous input shards whose partial maps merge order-insensitively
-// (counts and sums are commutative), so the sorted emission is bit-identical
-// to the serial run.
-func (s *execState) hashAgg(n *plan.Node) ([][]int64, error) {
+// materialized row. The accumulation is the partitionable kernel: shards
+// fill private tables over contiguous input ranges, which merge
+// order-insensitively (counts and sums commute), so the sorted emission is
+// the same for every partition count.
+func (s *execState) hashAgg(n *plan.Node) (rel, error) {
 	in, err := s.run(n.Children[0])
 	if err != nil {
-		return nil, err
+		return rel{}, err
 	}
-	groups := make(map[int64]*aggCell)
-	accumulate := func(cells map[int64]*aggCell, row []int64) {
-		cell := cells[row[n.GroupCol]]
-		if cell == nil {
-			cell = &aggCell{sums: make([]int64, len(n.SumCols))}
-			cells[row[n.GroupCol]] = cell
-		}
-		cell.count++
-		for i, c := range n.SumCols {
-			cell.sums[i] += row[c]
-		}
+	groups := in.dense(n.GroupCol)
+	vals := make([][]int64, len(n.SumCols))
+	for i, c := range n.SumCols {
+		vals[i] = in.dense(c)
 	}
-	if n.Partitions > 1 {
-		// Shards accumulate private partial maps and log their AggInput
-		// charges; the coordinator replays the logs in shard order (so a
-		// budget abort lands exactly where the serial input loop would have
-		// aborted) and merges the partials.
-		parts := n.Partitions
-		partials := make([]map[int64]*aggCell, parts)
-		if _, err := s.runPartitioned(parts, func(k int, lg *shardLog) {
-			lo, hi := mlmath.ShardRange(len(in), parts, k)
-			partials[k] = make(map[int64]*aggCell)
-			for _, row := range in[lo:hi] {
-				if !lg.charge(kAggInput, 1) {
-					return
-				}
-				accumulate(partials[k], row)
+	parts := shards(n)
+	tables, ends := make([]*aggTable, parts), make([]int, parts)
+	lim := s.limits()
+	err = s.exchange(parts, in.n, func(k, lo, hi int) {
+		t := &aggTable{slots: make(map[int64]int32), cols: make([][]int64, 2+len(vals))}
+		end := hi
+		for r := lo; r < hi; r++ {
+			g := t.slot(groups[r])
+			t.cols[1][g]++
+			for i, v := range vals {
+				t.cols[2+i][g] += v[r]
 			}
-		}); err != nil {
-			return nil, err
-		}
-		for _, part := range partials {
-			for k, cell := range part {
-				dst := groups[k]
-				if dst == nil {
-					groups[k] = cell
-					continue
-				}
-				dst.count += cell.count
-				for i, v := range cell.sums {
-					dst.sums[i] += v
-				}
+			if lim.over(r-lo+1, 0) {
+				end = r + 1
+				break
 			}
 		}
-	} else {
-		for _, row := range in {
-			if err := s.charge(&s.ctr.AggInput, 1); err != nil {
-				return nil, err
+		tables[k], ends[k] = t, end
+	}, func(k, lo int) (int, error) {
+		return s.chargeRun(&s.ctr.AggInput, nil, run{lo: lo, hi: ends[k]})
+	})
+	if err != nil {
+		return rel{}, err
+	}
+	t := tables[0]
+	for _, part := range tables[1:] {
+		for i, key := range part.cols[0] {
+			g := t.slot(key)
+			for c := 1; c < len(t.cols); c++ {
+				t.cols[c][g] += part.cols[c][i]
 			}
-			accumulate(groups, row)
 		}
 	}
-	keys := make([]int64, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
+	order := make([]int32, len(t.cols[0]))
+	for i := range order {
+		order[i] = int32(i)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := make([][]int64, 0, len(keys))
-	for _, k := range keys {
-		if err := s.charge(&s.ctr.OutputTuple, 1); err != nil {
-			return nil, err
-		}
-		if err := s.chargeRows(1); err != nil {
-			return nil, err
-		}
-		cell := groups[k]
-		row := make([]int64, 0, 2+len(cell.sums))
-		row = append(row, k, cell.count)
-		row = append(row, cell.sums...)
-		out = append(out, row)
+	sort.Slice(order, func(i, j int) bool { return t.cols[0][order[i]] < t.cols[0][order[j]] })
+	if _, err := s.chargeRun(&s.ctr.OutputTuple, nil, run{hi: len(order), dense: true}); err != nil {
+		return rel{}, err
 	}
-	n.ActualRows = float64(len(out))
-	return out, nil
+	return rel{n: len(order), segs: []seg{{cols: t.cols, sel: order}}}, nil
 }

@@ -1,324 +1,402 @@
 package exec
 
 import (
+	"sort"
+
 	"ml4db/internal/mlmath"
-	"ml4db/internal/sqlkit/catalog"
+	"ml4db/internal/sqlkit/expr"
 	"ml4db/internal/sqlkit/plan"
 )
 
-// This file implements exchange-style partitioned parallelism. The design
-// goal is exact serial equivalence: for any plan, any pool, and any worker
-// count, a partitioned execution must produce bit-identical rows, Counters,
-// budget-abort points, and EXPLAIN ANALYZE trees to the serial execution of
-// the same plan. Three mechanisms deliver that:
+// This file holds the exchange machinery and the partitionable operators.
+// SeqScan, the HashJoin probe, NLJoin and HashAgg are each one kernel over
+// a contiguous shard of their input (mlmath.ShardRange); serial is the
+// one-shard case run inline, and concatenating shard outputs in shard order
+// reproduces its row order exactly. Kernels never touch the budget or the
+// counters: each reports the input positions it processed and, in order,
+// the positions that emitted tuples, and the coordinator charges the
+// shards in shard order with chargeRun, which finds in closed form the
+// exact charge where a check after every tuple would have tripped. The pool
+// only decides which worker runs which shard, so rows, Counters, typed
+// budget aborts and EXPLAIN trees are identical for every worker count.
 //
-//   - Range partitioning. Every parallel operator splits its input into
-//     Partitions contiguous shards via mlmath.ShardRange (scan row or page
-//     ranges, hash-probe ranges, nested-loop outer ranges, aggregation input
-//     ranges), so concatenating shard outputs in shard order reproduces the
-//     serial row order exactly. Hash partitioning of rows would reorder
-//     output; contiguous ranges never do.
-//
-//   - Charge-log replay. Shards never touch the coordinator's budget or
-//     counters. Each shard appends compact charge events — runs of "n
-//     charges of (counter, unit), each optionally followed by one
-//     materialized row" — to a private log, in the exact order the serial
-//     code would issue them. After the pool joins, the coordinator replays
-//     the logs in shard order through the real charge/chargeRows
-//     accounting, using closed-form arithmetic to land a budget abort on
-//     exactly the charge the serial execution would have aborted on.
-//
-//   - Worker-count independence. The pool distributes whole shards
-//     (ForEachShard over the partition count, each worker looping its
-//     contiguous shard sub-range), so which worker ran a shard — and how
-//     many workers exist — affects only timing, never content.
-//
-// Shards may stop early once their private work or row total alone
-// guarantees a global abort (the replay trips at or before the truncation
-// point, because earlier shards only add to the totals), so a tight budget
-// does not force a full parallel scan.
+// A kernel stops early once its own charges alone exceed the budget left
+// when the operator started: earlier shards only add to the totals, so the
+// abort lands at or before that point. For a single shard the stop is
+// exact, which keeps a one-shard disk scan from fetching a page the
+// tuple-at-a-time scan would not have fetched. See docs/EXECUTOR.md.
 
-// counterKind names a Counters field a shard can charge. Only categories
-// reachable from partitioned operator shards appear here; build phases,
-// sorts, and index probes stay on the coordinator.
-type counterKind uint8
+// block is how many input positions a scan kernel filters between budget
+// checks.
+const block = 1024
 
-const (
-	kScanTuples counterKind = iota
-	kHashProbe
-	kNLPairs
-	kOutputTuple
-	kAggInput
-	kPageMiss
-)
+// run is one contiguous piece of a kernel's work, in serial charge order:
+// positions lo..hi-1 each charge one unit, and the k-th emitted tuple
+// follows position at[k] (nondecreasing). dense means every position
+// emitted exactly one tuple, at[k] = lo+k.
+type run struct {
+	lo, hi int
+	at     []int32
+	dense  bool
+}
 
-// counterFor maps a kind to the live counter it charges.
-func (s *execState) counterFor(k counterKind) *int64 {
-	switch k {
-	case kScanTuples:
-		return &s.ctr.ScanTuples
-	case kHashProbe:
-		return &s.ctr.HashProbe
-	case kNLPairs:
-		return &s.ctr.NLPairs
-	case kOutputTuple:
-		return &s.ctr.OutputTuple
-	case kAggInput:
-		return &s.ctr.AggInput
+func (r run) emitted() int {
+	if r.dense {
+		return r.hi - r.lo
+	}
+	return len(r.at)
+}
+
+func (r run) pos(k int) int {
+	if r.dense {
+		return r.lo + k
+	}
+	return int(r.at[k])
+}
+
+// before counts the tuples emitted at positions before p.
+func (r run) before(p int) int {
+	if r.dense {
+		return p - r.lo
+	}
+	return sort.Search(len(r.at), func(k int) bool { return int(r.at[k]) >= p })
+}
+
+// chargeRun applies r's charges as a loop checking the budget after every
+// charge would: each position charges one unit to *pos, then each of its
+// emitted tuples charges one unit to *out, when out is not nil, and one
+// materialized row. It returns how many tuples were admitted. The charge
+// that trips is found in closed form, as an (offset, step) pair: step 0 is
+// a position's own charge, 2k+1 and 2k+2 are tuple k's work and row
+// charges.
+func (s *execState) chargeRun(pos, out *int64, r run) (admitted int, err error) {
+	outUnit := int64(0)
+	if out != nil {
+		outUnit = 1
+	}
+	n, m := r.hi-r.lo, r.emitted()
+	tripOff, tripStep, kind := n, 0, ""
+	earlier := func(off, step int) bool { return off < tripOff || (off == tripOff && step < tripStep) }
+	if s.maxWork > 0 {
+		rem := s.maxWork - s.work
+		if i := sort.Search(n, func(i int) bool {
+			return int64(i+1)+outUnit*int64(r.before(r.lo+i)) > rem
+		}); i < n {
+			tripOff, kind = i, "work"
+		}
+		if out != nil {
+			k := sort.Search(m, func(k int) bool { return int64(r.pos(k)-r.lo+k+2) > rem })
+			if k < m && earlier(r.pos(k)-r.lo, 2*k+1) {
+				tripOff, tripStep, kind = r.pos(k)-r.lo, 2*k+1, "work"
+			}
+		}
+	}
+	if s.maxRows > 0 {
+		if k := s.maxRows - s.rows; k < int64(m) && earlier(r.pos(int(k))-r.lo, 2*int(k)+2) {
+			tripOff, tripStep, kind = r.pos(int(k))-r.lo, 2*int(k)+2, "rows"
+		}
+	}
+	posN, outN, rowN := n, m, m
+	switch {
+	case kind == "":
+	case tripStep == 0:
+		posN, outN = tripOff+1, r.before(r.lo+tripOff)
+		rowN = outN
 	default:
-		return &s.ctr.PageMiss
+		posN, outN = tripOff+1, (tripStep+1)/2
+		rowN = tripStep / 2
 	}
-}
-
-// chargeEvent is one run of a shard's charge log: n consecutive charges of
-// unit work units against kind. With rowEvery set, each of the n charges is
-// followed by one chargeRows(1) — the charge pattern of a tuple that passed
-// its filters and was materialized.
-type chargeEvent struct {
-	kind     counterKind
-	unit     int64
-	n        int64
-	rowEvery bool
-}
-
-// shardLog is one shard's private execution record: the charge log, the
-// materialized rows (in charge order: the i-th row belongs to the i-th
-// rowEvery charge), and a non-budget error if the shard hit one (e.g. a disk
-// read failure). Shards mirror the budget locally only to stop early; the
-// authoritative budget decision happens at replay.
-type shardLog struct {
-	events []chargeEvent
-	rows   [][]int64
-	err    error
-
-	localWork, localRows int64
-	maxWork, maxRows     int64
-	stopped              bool
-}
-
-// add appends a charge run, coalescing into the previous event when the
-// shape matches (the common case: long runs of identical per-tuple charges).
-func (l *shardLog) add(k counterKind, unit int64, rowEvery bool) {
-	if m := len(l.events); m > 0 {
-		ev := &l.events[m-1]
-		if ev.kind == k && ev.unit == unit && ev.rowEvery == rowEvery {
-			ev.n++
-			return
-		}
+	*pos += int64(posN)
+	s.work += int64(posN)
+	if out != nil {
+		*out += int64(outN)
+		s.work += int64(outN)
 	}
-	l.events = append(l.events, chargeEvent{kind: k, unit: unit, n: 1, rowEvery: rowEvery})
-}
-
-// charge logs one work charge. It returns false once the shard's private
-// totals alone guarantee a global budget abort — the shard should stop; the
-// replay will abort at or before this event no matter what other shards did.
-func (l *shardLog) charge(k counterKind, unit int64) bool {
-	l.add(k, unit, false)
-	l.localWork += unit
-	if l.maxWork > 0 && l.localWork > l.maxWork {
-		l.stopped = true
+	s.rows += int64(rowN)
+	switch kind {
+	case "work":
+		return rowN, &BudgetExceededError{Kind: "work", Limit: s.maxWork, Used: s.work}
+	case "rows":
+		return rowN - 1, &BudgetExceededError{Kind: "rows", Limit: s.maxRows, Used: s.rows}
 	}
-	return !l.stopped
+	return rowN, nil
 }
 
-// emit logs one work charge followed by one materialized row (the row is
-// buffered at the position its rowEvery charge holds in the log). Like
-// charge, it returns false when the shard should stop.
-func (l *shardLog) emit(k counterKind, unit int64, row []int64) bool {
-	l.add(k, unit, true)
-	l.rows = append(l.rows, row)
-	l.localWork += unit
-	l.localRows++
-	if (l.maxWork > 0 && l.localWork > l.maxWork) || (l.maxRows > 0 && l.localRows > l.maxRows) {
-		l.stopped = true
+// limits is the budget left when an operator starts, negative meaning
+// unlimited. A kernel whose own charges pass it guarantees an abort.
+type limits struct{ work, rows int64 }
+
+func (s *execState) limits() limits {
+	l := limits{-1, -1}
+	if s.maxWork > 0 {
+		l.work = s.maxWork - s.work
 	}
-	return !l.stopped
-}
-
-// replayEvents replays one shard's charge log through the coordinator's
-// budget accounting, in log order, and returns how many rowEvery charges
-// were admitted before any abort. The arithmetic reproduces charge/
-// chargeRows exactly: a work charge adds its unit then trips on
-// work > maxWork, a row charge adds one then trips on rows > maxRows — so
-// the abort lands on the same charge, with the same Used value, as the
-// serial execution.
-func (s *execState) replayEvents(events []chargeEvent) (admitted int64, err error) {
-	for _, ev := range events {
-		ctr := s.counterFor(ev.kind)
-		// Charges (1-indexed) until each limit trips within this event;
-		// values beyond ev.n mean "no trip here".
-		iW := ev.n + 1
-		if s.maxWork > 0 && ev.unit > 0 {
-			if i := (s.maxWork-s.work)/ev.unit + 1; i <= ev.n {
-				iW = i
-			}
-		}
-		if !ev.rowEvery {
-			if iW <= ev.n {
-				*ctr += iW * ev.unit
-				s.work += iW * ev.unit
-				return admitted, &BudgetExceededError{Kind: "work", Limit: s.maxWork, Used: s.work}
-			}
-			*ctr += ev.n * ev.unit
-			s.work += ev.n * ev.unit
-			continue
-		}
-		iR := ev.n + 1
-		if s.maxRows > 0 {
-			if i := s.maxRows - s.rows + 1; i <= ev.n {
-				iR = i
-			}
-		}
-		if iW <= ev.n && iW <= iR {
-			// The iW-th work charge trips before its row charge; the iW-1
-			// earlier iterations completed their row charges.
-			*ctr += iW * ev.unit
-			s.work += iW * ev.unit
-			s.rows += iW - 1
-			admitted += iW - 1
-			return admitted, &BudgetExceededError{Kind: "work", Limit: s.maxWork, Used: s.work}
-		}
-		if iR <= ev.n {
-			// The iR-th row charge trips; its work charge already landed,
-			// and the row itself is not materialized.
-			*ctr += iR * ev.unit
-			s.work += iR * ev.unit
-			s.rows += iR
-			admitted += iR - 1
-			return admitted, &BudgetExceededError{Kind: "rows", Limit: s.maxRows, Used: s.rows}
-		}
-		*ctr += ev.n * ev.unit
-		s.work += ev.n * ev.unit
-		s.rows += ev.n
-		admitted += ev.n
+	if s.maxRows > 0 {
+		l.rows = s.maxRows - s.rows
 	}
-	return admitted, nil
+	return l
 }
 
-// runPartitioned executes parts shards through the pool and merges them in
-// shard order: runShard(k, lg) fills shard k's log, the coordinator then
-// replays every log (emitting one deterministic exec.exchange.shard span per
-// shard) and concatenates the admitted rows. A nil pool, a one-worker pool,
-// and an N-worker pool all produce identical results; only the wall clock
-// differs.
-func (s *execState) runPartitioned(parts int, runShard func(shard int, lg *shardLog)) ([][]int64, error) {
-	logs := make([]shardLog, parts)
-	for k := range logs {
-		logs[k].maxWork, logs[k].maxRows = s.maxWork, s.maxRows
+func (l limits) over(work, rows int) bool {
+	return (l.work >= 0 && int64(work) > l.work) || (l.rows >= 0 && int64(rows) > l.rows)
+}
+
+// exchange splits [0, size) into parts contiguous shards, runs kernel on
+// each — inline for a single shard, through the pool otherwise — and then
+// charges the shards in shard order through charge, which returns how many
+// of the shard's tuples were admitted. A partitioned operator opens one
+// exec.exchange.shard span per charged shard on the coordinator, so spans
+// never depend on the worker count.
+func (s *execState) exchange(parts, size int, kernel func(k, lo, hi int), charge func(k, lo int) (int, error)) error {
+	shard := func(k int) {
+		lo, hi := mlmath.ShardRange(size, parts, k)
+		kernel(k, lo, hi)
+	}
+	if parts <= 1 {
+		shard(0)
+		_, err := charge(0, 0)
+		return err
 	}
 	s.pool.ForEachShard(parts, func(_, lo, hi int) {
 		for k := lo; k < hi; k++ {
-			runShard(k, &logs[k])
+			shard(k)
 		}
 	})
-	var out [][]int64
-	for k := range logs {
-		lg := &logs[k]
+	for k := 0; k < parts; k++ {
 		workBefore := s.work
 		sp := s.tr.StartSpan("exec.exchange.shard", s.cur)
-		admitted, err := s.replayEvents(lg.events)
-		sp.SetInt("shard", int64(k)).SetInt("work", s.work-workBefore).SetInt("rows", admitted)
+		lo, _ := mlmath.ShardRange(size, parts, k)
+		admitted, err := charge(k, lo)
+		sp.SetInt("shard", int64(k)).SetInt("work", s.work-workBefore).SetInt("rows", int64(admitted))
 		sp.End()
-		if err == nil && lg.err != nil {
-			// The shard stopped on a non-budget error after these charges;
-			// surface it exactly where the serial execution would have.
-			err = lg.err
-		}
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out = append(out, lg.rows[:admitted]...)
 	}
-	return out, nil
+	return nil
 }
 
-// seqScanPartitioned is the exchange-parallel in-memory table scan: shard k
-// scans the contiguous row range ShardRange(nRows, parts, k), so the merged
-// output is the serial scan's row order exactly.
-func (s *execState) seqScanPartitioned(n *plan.Node, t *catalog.Table) ([][]int64, error) {
-	nRows, nCols, parts := t.NumRows(), t.NumCols(), n.Partitions
-	out, err := s.runPartitioned(parts, func(k int, lg *shardLog) {
-		lo, hi := mlmath.ShardRange(nRows, parts, k)
-		for r := lo; r < hi; r++ {
-			ok := true
-			for _, f := range n.Filters {
-				if !f.Eval(t.Data[f.Col][r]) {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				if !lg.charge(kScanTuples, 1) {
-					return
-				}
-				continue
-			}
-			row := make([]int64, nCols)
-			for c := 0; c < nCols; c++ {
-				row[c] = t.Data[c][r]
-			}
-			if !lg.emit(kScanTuples, 1, row) {
-				return
-			}
-		}
+// shards is the shard count of a node: its Partitions knob, at least one.
+func shards(n *plan.Node) int { return max(n.Partitions, 1) }
+
+// scanColumns is the in-memory SeqScan over column-major cols: each shard
+// filters its row range one column at a time into a selection of row ids
+// over cols, with no copy. Unfiltered scans select nothing and read the
+// columns directly.
+func (s *execState) scanColumns(n *plan.Node, cols [][]int64, nRows, parts int) (rel, error) {
+	sels, ends := make([][]int32, parts), make([]int, parts)
+	lim := s.limits()
+	dense := len(n.Filters) == 0
+	err := s.exchange(parts, nRows, func(k, lo, hi int) {
+		sels[k], ends[k] = filterRange(cols, n.Filters, lo, hi, lim)
+	}, func(k, lo int) (int, error) {
+		return s.chargeRun(&s.ctr.ScanTuples, nil, run{lo: lo, hi: ends[k], at: sels[k], dense: dense})
 	})
 	if err != nil {
-		return nil, err
+		return rel{}, err
 	}
-	n.ActualRows = float64(len(out))
-	return out, nil
+	if dense {
+		return rel{n: nRows, segs: []seg{{cols: cols}}}, nil
+	}
+	sel := concat(sels)
+	return rel{n: len(sel), segs: []seg{{cols: cols, sel: sel}}}, nil
 }
 
-// hashProbePartitioned runs the probe phase of a hash join over contiguous
-// probe-side shards. The hash table was built serially by the coordinator
-// and is only read here — concurrent map reads are safe — and shard k
-// probing right[lo:hi] in order reproduces the serial probe/output charge
-// sequence under concatenation.
-func (s *execState) hashProbePartitioned(n *plan.Node, ht map[int64][]int, left, right [][]int64) ([][]int64, error) {
-	parts := n.Partitions
-	out, err := s.runPartitioned(parts, func(k int, lg *shardLog) {
-		lo, hi := mlmath.ShardRange(len(right), parts, k)
-		for _, rrow := range right[lo:hi] {
-			if !lg.charge(kHashProbe, 1) {
-				return
-			}
-			for _, li := range ht[rrow[n.RightCol]] {
-				if !lg.emit(kOutputTuple, 1, joinRows(left[li], rrow)) {
-					return
-				}
+// filterRange selects the rows of [lo, hi) passing every filter, a block at
+// a time: the first filter scans its column, each later one compacts the
+// block's selection in place. It stops after the block where the shard's
+// own charges exceed lim, returning where it stopped.
+func filterRange(cols [][]int64, filters []expr.Pred, lo, hi int, lim limits) (sel []int32, end int) {
+	if len(filters) == 0 {
+		return nil, hi // nothing to evaluate: every position emits
+	}
+	for b := lo; b < hi; b += block {
+		e := min(b+block, hi)
+		start := len(sel)
+		f, data := filters[0], cols[filters[0].Col]
+		for r := b; r < e; r++ {
+			if f.Eval(data[r]) {
+				sel = append(sel, int32(r))
 			}
 		}
-	})
-	if err != nil {
-		return nil, err
+		for _, f := range filters[1:] {
+			data, kept := cols[f.Col], start
+			for _, r := range sel[start:] {
+				if f.Eval(data[r]) {
+					sel[kept] = r
+					kept++
+				}
+			}
+			sel = sel[:kept]
+		}
+		if lim.over(e-lo, len(sel)) {
+			return sel, e
+		}
 	}
-	n.ActualRows = float64(len(out))
-	return out, nil
+	return sel, hi
 }
 
-// nlJoinPartitioned shards the nested-loop join by contiguous outer (left)
-// ranges; each shard scans the full inner side, preserving the serial
-// left-major pair order within and across shards.
-func (s *execState) nlJoinPartitioned(n *plan.Node, left, right [][]int64) ([][]int64, error) {
-	parts := n.Partitions
-	out, err := s.runPartitioned(parts, func(k int, lg *shardLog) {
-		lo, hi := mlmath.ShardRange(len(left), parts, k)
-		for _, lrow := range left[lo:hi] {
-			lk := lrow[n.LeftCol]
-			for _, rrow := range right {
-				if lk == rrow[n.RightCol] {
-					if !lg.emit(kNLPairs, 1, joinRows(lrow, rrow)) {
-						return
-					}
-				} else if !lg.charge(kNLPairs, 1) {
-					return
+// hashIndex maps each build key to the build rows holding it, in build
+// order: one row-id array grouped by key, rows[starts[s]:starts[s+1]] being
+// the rows of slot s. Keys spanning a small range are addressed directly
+// (slot = key - min); others go through a key→slot map.
+type hashIndex struct {
+	slots  map[int64]int32
+	min    int64
+	starts []int32
+	rows   []int32
+}
+
+// buildIndex groups the build positions by key with a counting sort, which
+// keeps each key's rows in ascending build order.
+func buildIndex(keys []int64) *hashIndex {
+	h := &hashIndex{}
+	slot := make([]int32, len(keys))
+	nSlots := 0
+	if len(keys) > 0 {
+		lo, hi := keys[0], keys[0]
+		for _, k := range keys {
+			lo, hi = min(lo, k), max(hi, k)
+		}
+		if span := hi - lo; span >= 0 && span < int64(8*len(keys)+4096) {
+			h.min, nSlots = lo, int(span)+1
+			for i, k := range keys {
+				slot[i] = int32(k - lo)
+			}
+		} else {
+			h.slots = make(map[int64]int32)
+			for i, k := range keys {
+				s, ok := h.slots[k]
+				if !ok {
+					s = int32(len(h.slots))
+					h.slots[k] = s
 				}
+				slot[i] = s
+			}
+			nSlots = len(h.slots)
+		}
+	}
+	// Count, prefix-sum to slot ends, then fill backwards so each end
+	// walks down to its slot's start.
+	h.starts = make([]int32, nSlots+1)
+	for _, s := range slot {
+		h.starts[s]++
+	}
+	for s := 1; s <= nSlots; s++ {
+		h.starts[s] += h.starts[s-1]
+	}
+	h.rows = make([]int32, len(keys))
+	for i := len(slot) - 1; i >= 0; i-- {
+		h.starts[slot[i]]--
+		h.rows[h.starts[slot[i]]] = int32(i)
+	}
+	return h
+}
+
+// matches returns the build rows holding key k.
+func (h *hashIndex) matches(k int64) []int32 {
+	s := uint64(k - h.min)
+	if h.slots != nil {
+		v, ok := h.slots[k]
+		if !ok {
+			return nil
+		}
+		s = uint64(v)
+	} else if k < h.min || s >= uint64(len(h.starts)-1) {
+		return nil
+	}
+	return h.rows[h.starts[s]:h.starts[s+1]]
+}
+
+// hashJoin builds on the left child and probes with the right. The build
+// runs on the coordinator; the probe is the partitionable kernel: each
+// shard probes a contiguous range of right rows and records, per output
+// tuple, the left and right row positions.
+func (s *execState) hashJoin(n *plan.Node) (rel, error) {
+	left, right, err := s.children(n)
+	if err != nil {
+		return rel{}, err
+	}
+	if _, err := s.chargeRun(&s.ctr.HashBuild, nil, run{hi: left.n}); err != nil {
+		return rel{}, err
+	}
+	ht := buildIndex(left.dense(n.LeftCol))
+	keys, sel := right.col(n.RightCol) // read in place: the probe visits each key once
+	parts := shards(n)
+	li, ri, ends := make([][]int32, parts), make([][]int32, parts), make([]int, parts)
+	lim := s.limits()
+	err = s.exchange(parts, right.n, func(k, lo, hi int) {
+		var lv, rv []int32
+		end := hi
+		for p := lo; p < hi; p++ {
+			id := p
+			if sel != nil {
+				id = int(sel[p])
+			}
+			for _, l := range ht.matches(keys[id]) {
+				lv, rv = append(lv, l), append(rv, int32(p))
+			}
+			if lim.over(p-lo+1+len(lv), len(lv)) {
+				end = p + 1
+				break
 			}
 		}
+		li[k], ri[k], ends[k] = lv, rv, end
+	}, func(k, lo int) (int, error) {
+		return s.chargeRun(&s.ctr.HashProbe, &s.ctr.OutputTuple, run{lo: lo, hi: ends[k], at: ri[k]})
 	})
 	if err != nil {
-		return nil, err
+		return rel{}, err
 	}
-	n.ActualRows = float64(len(out))
-	return out, nil
+	return join(left, right, concat(li), concat(ri)), nil
+}
+
+// nlJoin shards the nested-loop join by contiguous outer (left) ranges;
+// each shard scans the whole inner side, preserving the left-major pair
+// order within and across shards. Every pair charges NLPairs and every
+// match one row, so each outer row is charged as one run over the inner
+// positions.
+func (s *execState) nlJoin(n *plan.Node) (rel, error) {
+	left, right, err := s.children(n)
+	if err != nil {
+		return rel{}, err
+	}
+	lk, rk := left.dense(n.LeftCol), right.dense(n.RightCol)
+	parts := shards(n)
+	li, ri, ends := make([][]int32, parts), make([][]int32, parts), make([]int, parts)
+	lim := s.limits()
+	err = s.exchange(parts, left.n, func(k, lo, hi int) {
+		var lv, rv []int32
+		end := hi
+		for l := lo; l < hi; l++ {
+			for r, v := range rk {
+				if v == lk[l] {
+					lv, rv = append(lv, int32(l)), append(rv, int32(r))
+				}
+			}
+			if lim.over((l-lo+1)*len(rk), len(lv)) {
+				end = l + 1
+				break
+			}
+		}
+		li[k], ri[k], ends[k] = lv, rv, end
+	}, func(k, lo int) (int, error) {
+		admitted, o := 0, 0
+		for l := lo; l < ends[k]; l++ {
+			e := o
+			for e < len(li[k]) && int(li[k][e]) == l {
+				e++
+			}
+			a, err := s.chargeRun(&s.ctr.NLPairs, nil, run{hi: len(rk), at: ri[k][o:e]})
+			if admitted += a; err != nil {
+				return admitted, err
+			}
+			o = e
+		}
+		return admitted, nil
+	})
+	if err != nil {
+		return rel{}, err
+	}
+	return join(left, right, concat(li), concat(ri)), nil
 }

@@ -53,10 +53,6 @@ func (e *BudgetExceededError) Is(target error) bool { return target == ErrWorkBu
 
 // Options configures execution.
 type Options struct {
-	// MaxWork aborts execution once this many work units are consumed.
-	// Zero means unlimited. Deprecated in favor of Budget; when both are
-	// set the stricter work limit wins.
-	MaxWork int64
 	// Budget, when non-nil, bounds the execution's work units and
 	// materialized rows (see Budget). Aborts surface as
 	// *BudgetExceededError.
@@ -70,22 +66,9 @@ type Options struct {
 	// Pool runs partitioned operators' shards in parallel. A nil pool (or a
 	// one-worker pool) runs every shard inline on the calling goroutine.
 	// The results are bit-identical for any pool: partitioning is a pure
-	// function of the plan's Partitions knob, and shard outputs and charge
-	// logs are merged in fixed shard order (see exchange.go).
+	// function of the plan's Partitions knob, and shards are charged and
+	// merged in fixed shard order (see exchange.go).
 	Pool *mlmath.Pool
-}
-
-// effectiveBudget folds the legacy MaxWork field and the Budget struct into
-// one (maxWork, maxRows) pair, taking the stricter work limit.
-func (o Options) effectiveBudget() (maxWork, maxRows int64) {
-	maxWork = o.MaxWork
-	if o.Budget != nil {
-		if o.Budget.MaxWork > 0 && (maxWork == 0 || o.Budget.MaxWork < maxWork) {
-			maxWork = o.Budget.MaxWork
-		}
-		maxRows = o.Budget.MaxRows
-	}
-	return maxWork, maxRows
 }
 
 // workBuckets are the histogram bounds for the exec.work metric, shared so
@@ -159,8 +142,28 @@ func New(cat *catalog.Catalog) *Executor { return &Executor{Cat: cat} }
 // Execute runs the plan and returns the result. Node.ActualRows annotations
 // are filled in along the way.
 func (e *Executor) Execute(root *plan.Node, opts Options) (*Result, error) {
-	maxWork, maxRows := opts.effectiveBudget()
-	st := &execState{cat: e.Cat, maxWork: maxWork, maxRows: maxRows, pool: opts.Pool}
+	res, _, err := e.execute(root, opts, true)
+	return res, err
+}
+
+// ExecuteCount is Execute but discards rows, returning only cardinality and
+// work — the common case for training-signal collection. The output is
+// never materialized.
+func (e *Executor) ExecuteCount(root *plan.Node, opts Options) (card int, work int64, err error) {
+	res, card, err := e.execute(root, opts, false)
+	if err != nil {
+		return 0, res.Work, err
+	}
+	return card, res.Work, nil
+}
+
+// execute runs the plan and returns the result, with Rows materialized when
+// asked, and the output cardinality.
+func (e *Executor) execute(root *plan.Node, opts Options, materialize bool) (*Result, int, error) {
+	st := &execState{cat: e.Cat, pool: opts.Pool}
+	if opts.Budget != nil {
+		st.maxWork, st.maxRows = opts.Budget.MaxWork, opts.Budget.MaxRows
+	}
 	observed := opts.Analyze || e.Trace != nil
 	if observed {
 		st.tr = e.Trace
@@ -170,31 +173,22 @@ func (e *Executor) Execute(root *plan.Node, opts Options) (*Result, error) {
 		}
 		st.cur = st.tr.StartSpan("exec.execute", opts.Span)
 	}
-	rows, err := st.run(root)
+	out, err := st.run(root)
+	res := &Result{Work: st.work, Counters: st.ctr, Explain: st.ex}
+	if err == nil && materialize {
+		res.Rows = out.rows()
+	}
 	if st.ex != nil {
 		st.ex.finish()
 	}
 	if observed {
-		st.cur.SetInt("work", st.work).SetInt("rows", int64(len(rows))).End()
+		st.cur.SetInt("work", st.work).SetInt("rows", int64(out.n)).End()
 	}
 	if e.Metrics != nil {
 		e.Metrics.Counter("exec.queries").Inc()
 		e.Metrics.Histogram("exec.work", workBuckets).Observe(float64(st.work))
 	}
-	if err != nil {
-		return &Result{Work: st.work, Counters: st.ctr, Explain: st.ex}, err
-	}
-	return &Result{Rows: rows, Work: st.work, Counters: st.ctr, Explain: st.ex}, nil
-}
-
-// ExecuteCount is Execute but discards rows, returning only cardinality and
-// work — the common case for training-signal collection.
-func (e *Executor) ExecuteCount(root *plan.Node, opts Options) (card int, work int64, err error) {
-	res, err := e.Execute(root, opts)
-	if err != nil {
-		return 0, res.Work, err
-	}
-	return len(res.Rows), res.Work, nil
+	return res, out.n, err
 }
 
 type execState struct {
@@ -204,9 +198,9 @@ type execState struct {
 	rows    int64 // tuples materialized by all operators
 	maxRows int64
 	ctr     Counters
-	// pool runs partitioned operators' shards; nil means inline. Shards
-	// never touch this struct — they log into private shardLogs the
-	// coordinator replays in shard order (see exchange.go).
+	// pool runs partitioned operators' shards; nil means inline. Shard
+	// kernels never touch this struct: the coordinator charges their
+	// results in shard order (see exchange.go).
 	pool *mlmath.Pool
 
 	// Observability state, all nil/unused on the fast path.
@@ -240,7 +234,7 @@ func (s *execState) chargeRows(n int64) error {
 // run evaluates one plan node. The fast path — no EXPLAIN ANALYZE, no
 // tracer — dispatches directly so uninstrumented execution pays a single
 // branch per operator.
-func (s *execState) run(n *plan.Node) ([][]int64, error) {
+func (s *execState) run(n *plan.Node) (rel, error) {
 	if s.ex == nil && s.tr == nil {
 		return s.dispatch(n)
 	}
@@ -249,143 +243,125 @@ func (s *execState) run(n *plan.Node) ([][]int64, error) {
 
 // runObserved wraps dispatch with a per-operator span and accumulates the
 // node's subtree totals (work, counters, clock time) for EXPLAIN ANALYZE.
-func (s *execState) runObserved(n *plan.Node) ([][]int64, error) {
+func (s *execState) runObserved(n *plan.Node) (rel, error) {
 	prev := s.cur
 	sp := s.tr.StartSpan(opSpanName(n.Op), prev)
 	s.cur = sp
 	workBefore, ctrBefore := s.work, s.ctr
 	start := s.clock.Now()
-	rows, err := s.dispatch(n)
+	out, err := s.dispatch(n)
 	dur := s.clock.Now().Sub(start)
 	if s.ex != nil {
 		st := s.ex.stat(n)
 		st.Loops++
-		st.Rows += int64(len(rows))
+		st.Rows += int64(out.n)
 		st.SubtreeWork += s.work - workBefore
 		st.SubtreeCounters = addCounters(st.SubtreeCounters, subCounters(s.ctr, ctrBefore))
 		st.SubtreeDur += dur
 	}
-	sp.SetInt("rows", int64(len(rows))).SetInt("work", s.work-workBefore)
+	sp.SetInt("rows", int64(out.n)).SetInt("work", s.work-workBefore)
 	sp.End()
 	s.cur = prev
-	return rows, err
+	return out, err
 }
 
-func (s *execState) dispatch(n *plan.Node) ([][]int64, error) {
+// dispatch runs one operator. On error the returned relation is empty.
+func (s *execState) dispatch(n *plan.Node) (out rel, err error) {
 	switch n.Op {
 	case plan.OpSeqScan:
-		return s.seqScan(n)
+		out, err = s.seqScan(n)
 	case plan.OpIndexScan:
-		return s.indexScan(n)
+		out, err = s.indexScan(n)
 	case plan.OpHashJoin:
-		return s.hashJoin(n)
+		out, err = s.hashJoin(n)
 	case plan.OpNLJoin:
-		return s.nlJoin(n)
+		out, err = s.nlJoin(n)
 	case plan.OpMergeJoin:
-		return s.mergeJoin(n)
+		out, err = s.mergeJoin(n)
 	case plan.OpHashAgg:
-		return s.hashAgg(n)
+		out, err = s.hashAgg(n)
 	default:
-		return nil, fmt.Errorf("exec: unknown operator %v", n.Op)
+		return rel{}, fmt.Errorf("exec: unknown operator %v", n.Op)
 	}
+	if err != nil {
+		return rel{}, err
+	}
+	n.ActualRows = float64(out.n)
+	return out, nil
 }
 
-func (s *execState) seqScan(n *plan.Node) ([][]int64, error) {
+func (s *execState) seqScan(n *plan.Node) (rel, error) {
 	t := s.cat.Table(n.TableID)
-	if t.Virtual != nil {
+	switch {
+	case t.Virtual != nil:
 		return s.seqScanVirtual(n, t) // virtual sources materialize as a unit; Partitions is ignored
-	}
-	if t.Disk != nil {
-		if n.Partitions > 1 {
-			return s.seqScanDiskPartitioned(n, t)
-		}
+	case t.Disk != nil:
 		return s.seqScanDisk(n, t)
 	}
-	if n.Partitions > 1 {
-		return s.seqScanPartitioned(n, t)
+	cols := append([][]int64(nil), t.Data...)
+	return s.scanColumns(n, cols, t.NumRows(), shards(n))
+}
+
+// seqScanVirtual scans a virtual (system) table: the provider materializes a
+// snapshot of its current rows, which are laid out column-major and filtered
+// exactly like an in-memory SeqScan, one shard, charging one ScanTuples unit
+// per provider row.
+func (s *execState) seqScanVirtual(n *plan.Node, t *catalog.Table) (rel, error) {
+	rows := t.Virtual.VirtualRows()
+	cols := make([][]int64, t.NumCols())
+	for c := range cols {
+		cols[c] = make([]int64, len(rows))
+		for i, row := range rows {
+			cols[c][i] = row[c]
+		}
 	}
-	nRows := t.NumRows()
-	nCols := t.NumCols()
-	var out [][]int64
-	for r := 0; r < nRows; r++ {
-		if err := s.charge(&s.ctr.ScanTuples, 1); err != nil {
-			return nil, err
-		}
-		ok := true
-		for _, f := range n.Filters {
-			if !f.Eval(t.Data[f.Col][r]) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		if err := s.chargeRows(1); err != nil {
-			return nil, err
-		}
-		row := make([]int64, nCols)
-		for c := 0; c < nCols; c++ {
-			row[c] = t.Data[c][r]
-		}
-		out = append(out, row)
-	}
-	n.ActualRows = float64(len(out))
-	return out, nil
+	return s.scanColumns(n, cols, len(rows), 1)
 }
 
 // indexScan reads the rows matching the node's interval predicate on
 // IndexCol through the secondary index, then applies the remaining filters.
-func (s *execState) indexScan(n *plan.Node) ([][]int64, error) {
+// It is always one shard: each fetched row charges IndexFetch, then, if it
+// passes, one materialized row.
+func (s *execState) indexScan(n *plan.Node) (rel, error) {
 	t := s.cat.Table(n.TableID)
 	ix := t.Index(n.IndexCol)
 	if ix == nil {
-		return nil, fmt.Errorf("exec: no index on column %d of %s", n.IndexCol, t.Name)
+		return rel{}, fmt.Errorf("exec: no index on column %d of %s", n.IndexCol, t.Name)
 	}
 	if ix.Hypothetical {
-		return nil, fmt.Errorf("exec: index on column %d of %s is hypothetical (what-if only)", n.IndexCol, t.Name)
+		return rel{}, fmt.Errorf("exec: index on column %d of %s is hypothetical (what-if only)", n.IndexCol, t.Name)
 	}
 	lo, hi, residual, ok := indexInterval(t, n)
 	if !ok {
-		return nil, fmt.Errorf("exec: IndexScan on %s has no interval predicate on c%d", t.Name, n.IndexCol)
+		return rel{}, fmt.Errorf("exec: IndexScan on %s has no interval predicate on c%d", t.Name, n.IndexCol)
 	}
 	// One probe costs a binary search over the index.
 	if err := s.charge(&s.ctr.IndexProbe, log2int(ix.Len())); err != nil {
-		return nil, err
+		return rel{}, err
 	}
 	if t.Disk != nil {
 		return s.indexScanDisk(n, t, ix, lo, hi, residual)
 	}
-	nCols := t.NumCols()
-	var out [][]int64
-	fetched := 0
-	for _, r := range ix.RangeRows(lo, hi) {
-		if err := s.charge(&s.ctr.IndexFetch, 1); err != nil {
-			return nil, err
-		}
-		fetched++
-		okRow := true
-		for _, f := range residual {
-			if !f.Eval(t.Data[f.Col][r]) {
-				okRow = false
-				break
+	ids := ix.RangeRows(lo, hi)
+	r := run{hi: len(ids), dense: len(residual) == 0}
+	sel := ids
+	if !r.dense {
+		sel = nil
+	next:
+		for i, id := range ids {
+			for _, f := range residual {
+				if !f.Eval(t.Data[f.Col][id]) {
+					continue next
+				}
 			}
+			r.at, sel = append(r.at, int32(i)), append(sel, id)
 		}
-		if !okRow {
-			continue
-		}
-		if err := s.chargeRows(1); err != nil {
-			return nil, err
-		}
-		row := make([]int64, nCols)
-		for c := 0; c < nCols; c++ {
-			row[c] = t.Data[c][int(r)]
-		}
-		out = append(out, row)
 	}
-	n.ActualRows = float64(len(out))
-	n.ActualFetched = float64(fetched)
-	return out, nil
+	if _, err := s.chargeRun(&s.ctr.IndexFetch, nil, r); err != nil {
+		return rel{}, err
+	}
+	n.ActualFetched = float64(len(ids))
+	return rel{n: len(sel), segs: []seg{{cols: append([][]int64(nil), t.Data...), sel: sel}}}, nil
 }
 
 // indexInterval extracts the interval on n.IndexCol from the node's filters
@@ -428,95 +404,29 @@ func log2int(n int) int64 {
 	return c
 }
 
-func (s *execState) children(n *plan.Node) (left, right [][]int64, err error) {
+func (s *execState) children(n *plan.Node) (left, right rel, err error) {
 	left, err = s.run(n.Children[0])
 	if err != nil {
-		return nil, nil, err
+		return rel{}, rel{}, err
 	}
 	right, err = s.run(n.Children[1])
 	if err != nil {
-		return nil, nil, err
+		return rel{}, rel{}, err
 	}
 	return left, right, nil
-}
-
-func joinRows(l, r []int64) []int64 {
-	out := make([]int64, 0, len(l)+len(r))
-	out = append(out, l...)
-	return append(out, r...)
-}
-
-func (s *execState) hashJoin(n *plan.Node) ([][]int64, error) {
-	left, right, err := s.children(n)
-	if err != nil {
-		return nil, err
-	}
-	// Build on the left child, probe with the right.
-	ht := make(map[int64][]int, len(left))
-	for i, row := range left {
-		if err := s.charge(&s.ctr.HashBuild, 1); err != nil {
-			return nil, err
-		}
-		k := row[n.LeftCol]
-		ht[k] = append(ht[k], i)
-	}
-	if n.Partitions > 1 {
-		return s.hashProbePartitioned(n, ht, left, right)
-	}
-	var out [][]int64
-	for _, rrow := range right {
-		if err := s.charge(&s.ctr.HashProbe, 1); err != nil {
-			return nil, err
-		}
-		for _, li := range ht[rrow[n.RightCol]] {
-			if err := s.charge(&s.ctr.OutputTuple, 1); err != nil {
-				return nil, err
-			}
-			if err := s.chargeRows(1); err != nil {
-				return nil, err
-			}
-			out = append(out, joinRows(left[li], rrow))
-		}
-	}
-	n.ActualRows = float64(len(out))
-	return out, nil
-}
-
-func (s *execState) nlJoin(n *plan.Node) ([][]int64, error) {
-	left, right, err := s.children(n)
-	if err != nil {
-		return nil, err
-	}
-	if n.Partitions > 1 {
-		return s.nlJoinPartitioned(n, left, right)
-	}
-	var out [][]int64
-	for _, lrow := range left {
-		lk := lrow[n.LeftCol]
-		for _, rrow := range right {
-			if err := s.charge(&s.ctr.NLPairs, 1); err != nil {
-				return nil, err
-			}
-			if lk == rrow[n.RightCol] {
-				if err := s.chargeRows(1); err != nil {
-					return nil, err
-				}
-				out = append(out, joinRows(lrow, rrow))
-			}
-		}
-	}
-	n.ActualRows = float64(len(out))
-	return out, nil
 }
 
 // mergeJoin is always serial: a partitioned merge provably diverges from the
 // serial MergeScan counter (e.g. left={1,5}, right={3,5}: the serial merge
 // charges 3 scan steps, any 2-way partition of it charges 2), so Partitions
-// is ignored here to preserve serial≡parallel counter identity.
-func (s *execState) mergeJoin(n *plan.Node) ([][]int64, error) {
+// is ignored here to preserve serial≡parallel counter identity. Both sides
+// are sorted as row-position permutations by key; sort.Slice makes the same
+// swaps on a permutation as on the rows themselves, so ties keep the order
+// a row sort would give them.
+func (s *execState) mergeJoin(n *plan.Node) (rel, error) {
 	left, right, err := s.children(n)
 	if err != nil {
-		return nil, err
+		return rel{}, err
 	}
 	// Charge an n·log n sort cost approximation plus the merge.
 	sortCost := func(m int) int64 {
@@ -529,19 +439,18 @@ func (s *execState) mergeJoin(n *plan.Node) ([][]int64, error) {
 		}
 		return int64(m * logM)
 	}
-	if err := s.charge(&s.ctr.MergeSort, sortCost(len(left))+sortCost(len(right))); err != nil {
-		return nil, err
+	if err := s.charge(&s.ctr.MergeSort, sortCost(left.n)+sortCost(right.n)); err != nil {
+		return rel{}, err
 	}
-	lc, rc := n.LeftCol, n.RightCol
-	sort.Slice(left, func(i, j int) bool { return left[i][lc] < left[j][lc] })
-	sort.Slice(right, func(i, j int) bool { return right[i][rc] < right[j][rc] })
-	var out [][]int64
+	lk, rk := left.dense(n.LeftCol), right.dense(n.RightCol)
+	lp, rp := sortedPerm(lk), sortedPerm(rk)
+	var li, ri []int32
 	i, j := 0, 0
-	for i < len(left) && j < len(right) {
+	for i < len(lp) && j < len(rp) {
 		if err := s.charge(&s.ctr.MergeScan, 1); err != nil {
-			return nil, err
+			return rel{}, err
 		}
-		lv, rv := left[i][lc], right[j][rc]
+		lv, rv := lk[lp[i]], rk[rp[j]]
 		switch {
 		case lv < rv:
 			i++
@@ -550,23 +459,32 @@ func (s *execState) mergeJoin(n *plan.Node) ([][]int64, error) {
 		default:
 			// Emit the cross product of the equal runs.
 			jEnd := j
-			for jEnd < len(right) && right[jEnd][rc] == rv {
+			for jEnd < len(rp) && rk[rp[jEnd]] == rv {
 				jEnd++
 			}
-			for ; i < len(left) && left[i][lc] == lv; i++ {
-				for jj := j; jj < jEnd; jj++ {
+			for ; i < len(lp) && lk[lp[i]] == lv; i++ {
+				for _, r := range rp[j:jEnd] {
 					if err := s.charge(&s.ctr.OutputTuple, 1); err != nil {
-						return nil, err
+						return rel{}, err
 					}
 					if err := s.chargeRows(1); err != nil {
-						return nil, err
+						return rel{}, err
 					}
-					out = append(out, joinRows(left[i], right[jj]))
+					li, ri = append(li, lp[i]), append(ri, r)
 				}
 			}
 			j = jEnd
 		}
 	}
-	n.ActualRows = float64(len(out))
-	return out, nil
+	return join(left, right, li, ri), nil
+}
+
+// sortedPerm returns the row positions of keys ordered by key.
+func sortedPerm(keys []int64) []int32 {
+	p := make([]int32, len(keys))
+	for i := range p {
+		p[i] = int32(i)
+	}
+	sort.Slice(p, func(i, j int) bool { return keys[p[i]] < keys[p[j]] })
+	return p
 }

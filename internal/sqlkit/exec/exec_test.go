@@ -134,7 +134,7 @@ func TestJoinOutputSchemaIsLeftThenRight(t *testing.T) {
 func TestWorkBudgetAborts(t *testing.T) {
 	cat := tinyCatalog(t)
 	e := New(cat)
-	_, err := e.Execute(joinPlanOver(plan.OpNLJoin), Options{MaxWork: 3})
+	_, err := e.Execute(joinPlanOver(plan.OpNLJoin), Options{Budget: &Budget{MaxWork: 3}})
 	if !errors.Is(err, ErrWorkBudgetExceeded) {
 		t.Errorf("err = %v, want ErrWorkBudgetExceeded", err)
 	}

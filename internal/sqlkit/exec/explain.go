@@ -162,25 +162,17 @@ func opDesc(n *plan.Node) string {
 	return b.String()
 }
 
+// counterNames label the work categories in Counters.Vec order.
+var counterNames = [...]string{"scan", "build", "probe", "nl", "msort", "mscan", "out", "iprobe", "ifetch", "pmiss", "agg"}
+
 // counterBreakdown lists the nonzero work categories in Counters.Vec order.
 func counterBreakdown(c Counters) string {
-	parts := make([]string, 0, 10)
-	add := func(name string, v int64) {
+	var parts []string
+	for i, v := range c.Vec() {
 		if v != 0 {
-			parts = append(parts, fmt.Sprintf("%s=%d", name, v))
+			parts = append(parts, fmt.Sprintf("%s=%d", counterNames[i], int64(v)))
 		}
 	}
-	add("scan", c.ScanTuples)
-	add("build", c.HashBuild)
-	add("probe", c.HashProbe)
-	add("nl", c.NLPairs)
-	add("msort", c.MergeSort)
-	add("mscan", c.MergeScan)
-	add("out", c.OutputTuple)
-	add("iprobe", c.IndexProbe)
-	add("ifetch", c.IndexFetch)
-	add("pmiss", c.PageMiss)
-	add("agg", c.AggInput)
 	if len(parts) == 0 {
 		return ""
 	}
@@ -188,36 +180,19 @@ func counterBreakdown(c Counters) string {
 }
 
 // addCounters returns a + b category-wise.
-func addCounters(a, b Counters) Counters {
-	return Counters{
-		ScanTuples:  a.ScanTuples + b.ScanTuples,
-		HashBuild:   a.HashBuild + b.HashBuild,
-		HashProbe:   a.HashProbe + b.HashProbe,
-		NLPairs:     a.NLPairs + b.NLPairs,
-		MergeSort:   a.MergeSort + b.MergeSort,
-		MergeScan:   a.MergeScan + b.MergeScan,
-		OutputTuple: a.OutputTuple + b.OutputTuple,
-		IndexProbe:  a.IndexProbe + b.IndexProbe,
-		IndexFetch:  a.IndexFetch + b.IndexFetch,
-		PageMiss:    a.PageMiss + b.PageMiss,
-		AggInput:    a.AggInput + b.AggInput,
-	}
-}
+func addCounters(a, b Counters) Counters { return combineCounters(a, b, 1) }
 
 // subCounters returns a − b category-wise.
-func subCounters(a, b Counters) Counters {
+func subCounters(a, b Counters) Counters { return combineCounters(a, b, -1) }
+
+func combineCounters(a, b Counters, sign int64) Counters {
 	return Counters{
-		ScanTuples:  a.ScanTuples - b.ScanTuples,
-		HashBuild:   a.HashBuild - b.HashBuild,
-		HashProbe:   a.HashProbe - b.HashProbe,
-		NLPairs:     a.NLPairs - b.NLPairs,
-		MergeSort:   a.MergeSort - b.MergeSort,
-		MergeScan:   a.MergeScan - b.MergeScan,
-		OutputTuple: a.OutputTuple - b.OutputTuple,
-		IndexProbe:  a.IndexProbe - b.IndexProbe,
-		IndexFetch:  a.IndexFetch - b.IndexFetch,
-		PageMiss:    a.PageMiss - b.PageMiss,
-		AggInput:    a.AggInput - b.AggInput,
+		ScanTuples: a.ScanTuples + sign*b.ScanTuples, HashBuild: a.HashBuild + sign*b.HashBuild,
+		HashProbe: a.HashProbe + sign*b.HashProbe, NLPairs: a.NLPairs + sign*b.NLPairs,
+		MergeSort: a.MergeSort + sign*b.MergeSort, MergeScan: a.MergeScan + sign*b.MergeScan,
+		OutputTuple: a.OutputTuple + sign*b.OutputTuple, IndexProbe: a.IndexProbe + sign*b.IndexProbe,
+		IndexFetch: a.IndexFetch + sign*b.IndexFetch, PageMiss: a.PageMiss + sign*b.PageMiss,
+		AggInput: a.AggInput + sign*b.AggInput,
 	}
 }
 
