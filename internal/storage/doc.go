@@ -21,16 +21,21 @@
 // path (the spanend analyzer enforces this the same way it enforces
 // Span.End). A pinned page is never evicted — eviction with every frame
 // pinned fails with ErrAllPinned rather than corrupting a reader. Dirty
-// pages (SetDirty) are written back on eviction and on Flush.
+// pages (SetDirty) are written back on eviction and on Flush. A miss on a
+// full pool reads the incoming page into the evicted frame's buffer, so a
+// Page must not be used after its handle is unpinned — callers copy tuples
+// out first.
 //
 // # Determinism
 //
 // The pool is a determinism-core package: it keeps a logical access tick
 // instead of wall-clock time, eviction candidates are offered to the policy
-// in sorted key order, and ties break toward the lowest key. Same trace +
-// same policy (and, for the learned policy, same training seed) therefore
-// reproduce a bit-identical eviction sequence — the replay contract the
-// -storage benchmark verifies, mirroring the mlmath.Clock/Pool contracts.
+// least recently fetched first (from an intrusive recency list the pool
+// keeps over its frames), and ties break explicitly toward the lowest key,
+// whatever the candidate order. Same trace + same policy (and, for the
+// learned policy, same training seed) therefore reproduce a bit-identical
+// eviction sequence — the replay contract the -storage benchmark verifies,
+// mirroring the mlmath.Clock/Pool contracts.
 //
 // # Learned eviction
 //

@@ -101,41 +101,42 @@ func (g *Gate) ObserveSamples(samples []Sample) (promotions, rejections int) {
 func (g *Gate) Demote() bool { return g.roll.Demote() }
 
 // shadowLRU simulates an LRU cache of fixed capacity over page keys only —
-// no I/O, no frames — to score what LRU's hit rate would have been on the
-// exact access sequence the live pool served.
+// no I/O, no page buffers — to score what LRU's hit rate would have been on
+// the exact access sequence the live pool served. It keeps keys on the same
+// intrusive recency list as the pool, so every access is O(1).
 type shadowLRU struct {
-	cap  int
-	tick uint64
-	last map[PageKey]uint64
+	cap    int
+	frames map[PageKey]*frame
+	lru    recencyList
 }
 
 func newShadowLRU(capacity int) *shadowLRU {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &shadowLRU{cap: capacity, last: make(map[PageKey]uint64, capacity)}
+	s := &shadowLRU{cap: capacity, frames: make(map[PageKey]*frame, capacity)}
+	s.lru.init()
+	return s
 }
 
 // access records one access, returning whether it would have hit.
 func (s *shadowLRU) access(key PageKey) bool {
-	s.tick++
-	if _, ok := s.last[key]; ok {
-		s.last[key] = s.tick
-		return true
+	fr, hit := s.frames[key]
+	switch {
+	case hit:
+		s.lru.remove(fr)
+	case len(s.frames) >= s.cap:
+		fr = s.lru.root.next // recycle the LRU entry for the incoming key
+		s.lru.remove(fr)
+		delete(s.frames, fr.key)
+		fr.key = key
+		s.frames[key] = fr
+	default:
+		fr = &frame{key: key}
+		s.frames[key] = fr
 	}
-	if len(s.last) >= s.cap {
-		var victim PageKey
-		var victimTick uint64
-		first := true
-		for k, t := range s.last {
-			if first || t < victimTick || (t == victimTick && k.Less(victim)) {
-				victim, victimTick, first = k, t, false
-			}
-		}
-		delete(s.last, victim)
-	}
-	s.last[key] = s.tick
-	return false
+	s.lru.pushBack(fr)
+	return hit
 }
 
 // Guard watches the live pool's hit rate against a shadowed LRU simulation

@@ -68,13 +68,13 @@ func (hf *HeapFile) rebuildFreeMap() error {
 		return fmt.Errorf("storage: %s is %d bytes, not a whole number of %d-byte pages", hf.path, st.Size(), PageSize)
 	}
 	npages := int(st.Size() / PageSize)
+	hf.mu.Lock()
+	hf.npages = npages
+	hf.mu.Unlock()
 	free := make([]int, npages)
 	buf := make([]byte, PageSize)
 	for pno := 0; pno < npages; pno++ {
-		if _, err := hf.f.ReadAt(buf, int64(pno)*PageSize); err != nil {
-			return fmt.Errorf("storage: reading page %d of %s: %w", pno, hf.path, err)
-		}
-		p, err := PageFromBytes(buf, hf.path, pno)
+		p, err := hf.readPageInto(buf, pno)
 		if err != nil {
 			return err
 		}
@@ -82,10 +82,8 @@ func (hf *HeapFile) rebuildFreeMap() error {
 			return fmt.Errorf("storage: %s page %d holds %d-column tuples, want %d", hf.path, pno, p.NCols(), hf.ncols)
 		}
 		free[pno] = p.FreeSlots()
-		buf = make([]byte, PageSize) // PageFromBytes retains buf
 	}
 	hf.mu.Lock()
-	hf.npages = npages
 	hf.free = free
 	hf.mu.Unlock()
 	return nil
@@ -180,13 +178,22 @@ func (hf *HeapFile) AllocPage() (int, error) {
 
 // ReadPage reads and verifies pageNo from disk into a fresh Page.
 func (hf *HeapFile) ReadPage(pageNo int) (*Page, error) {
+	return hf.readPageInto(make([]byte, PageSize), pageNo)
+}
+
+// readPageInto is ReadPage into a caller-supplied PageSize buffer, which the
+// returned Page retains — the buffer pool passes an evicted frame's buffer.
+// A short read at end of file zeroes the rest of buf, as a fresh buffer
+// would be.
+func (hf *HeapFile) readPageInto(buf []byte, pageNo int) (*Page, error) {
 	if pageNo < 0 || pageNo >= hf.NumPages() {
 		return nil, fmt.Errorf("storage: page %d out of range of %s (%d pages)", pageNo, hf.path, hf.NumPages())
 	}
-	buf := make([]byte, PageSize)
-	if _, err := hf.f.ReadAt(buf, int64(pageNo)*PageSize); err != nil && !errors.Is(err, io.EOF) {
+	n, err := hf.f.ReadAt(buf, int64(pageNo)*PageSize)
+	if err != nil && !errors.Is(err, io.EOF) {
 		return nil, fmt.Errorf("storage: reading page %d of %s: %w", pageNo, hf.path, err)
 	}
+	clear(buf[n:])
 	return PageFromBytes(buf, hf.path, pageNo)
 }
 

@@ -84,14 +84,17 @@ func (l *LearnedPolicy) OnAccess(key PageKey, tick uint64) {
 // OnRemove implements Policy.
 func (l *LearnedPolicy) OnRemove(key PageKey) { delete(l.st, key) }
 
-// Victim implements Policy: the first strict maximum of the predicted
-// reuse distances over the sorted candidates, so ties break toward the
-// lowest key.
+// Victim implements Policy: the maximum predicted reuse distance, with
+// ties broken explicitly toward the lowest key so the victim does not depend
+// on candidate order. Scores are never NaN (see score), so the comparison is
+// a total order.
 func (l *LearnedPolicy) Victim(cands []PageKey, tick uint64) PageKey {
 	best := cands[0]
 	bestScore := l.score(best, tick)
 	for _, k := range cands[1:] {
-		if s := l.score(k, tick); s > bestScore {
+		s := l.score(k, tick)
+		//ml4db:allow floateq "exact score tie: the lowest-key tie-break is the replay contract, an epsilon would change victims"
+		if s > bestScore || (s == bestScore && k.Less(best)) {
 			best, bestScore = k, s
 		}
 	}

@@ -1,34 +1,23 @@
 package storage
 
-// LRU is the deterministic baseline eviction policy: evict the resident
-// page with the oldest last-access tick, breaking ties toward the earliest
-// (lowest-key) candidate.
-type LRU struct {
-	last map[PageKey]uint64
-}
+// LRU is the deterministic baseline eviction policy: evict the least
+// recently fetched unpinned page. It keeps no state of its own — the pool
+// already offers candidates in recency order, and fetch ticks are unique per
+// resident page, so the first candidate is the LRU victim and no tie can
+// arise.
+type LRU struct{}
 
-// NewLRU returns an empty LRU policy.
-func NewLRU() *LRU { return &LRU{last: make(map[PageKey]uint64)} }
+// NewLRU returns the LRU policy.
+func NewLRU() *LRU { return &LRU{} }
 
 // Name implements Policy.
-func (l *LRU) Name() string { return "lru" }
+func (*LRU) Name() string { return "lru" }
 
 // OnAccess implements Policy.
-func (l *LRU) OnAccess(key PageKey, tick uint64) { l.last[key] = tick }
+func (*LRU) OnAccess(PageKey, uint64) {}
 
 // OnRemove implements Policy.
-func (l *LRU) OnRemove(key PageKey) { delete(l.last, key) }
+func (*LRU) OnRemove(PageKey) {}
 
-// Victim implements Policy: the least recently used candidate. cands is
-// sorted, so keeping the first strict minimum breaks ties toward the lowest
-// key.
-func (l *LRU) Victim(cands []PageKey, _ uint64) PageKey {
-	best := cands[0]
-	bestTick := l.last[best]
-	for _, k := range cands[1:] {
-		if t := l.last[k]; t < bestTick {
-			best, bestTick = k, t
-		}
-	}
-	return best
-}
+// Victim implements Policy: the least recently fetched candidate.
+func (*LRU) Victim(cands []PageKey, _ uint64) PageKey { return cands[0] }

@@ -45,9 +45,12 @@ func (k PageKey) Less(o PageKey) bool {
 // Policy decides which unpinned resident page to evict. The pool owns the
 // policy and drives it single-threaded under its lock: OnAccess on every
 // fetch (hit or load), OnRemove when a page leaves the pool, Victim when a
-// frame must be freed. Candidates arrive sorted by PageKey; implementations
-// must return one of them and should break score ties toward the earliest
-// candidate so eviction sequences replay bit-identically.
+// frame must be freed. Candidates arrive least recently fetched first (the
+// pool's own recency order, so cands[0] is the LRU page); implementations
+// must return one of them and must break score ties explicitly toward the
+// lowest PageKey, independent of candidate order, so eviction sequences
+// replay bit-identically. A returned non-candidate falls back to the
+// lowest-key candidate.
 type Policy interface {
 	Name() string
 	OnAccess(key PageKey, tick uint64)
@@ -71,14 +74,15 @@ type PoolOptions struct {
 	Observer func(key PageKey, hit bool)
 }
 
-// frame is one resident page.
+// frame is one resident page, linked into the pool's recency list.
 type frame struct {
-	key      PageKey
-	hf       *HeapFile
-	page     *Page
-	pins     int
-	dirty    bool
-	lastTick uint64
+	key        PageKey
+	hf         *HeapFile
+	page       *Page
+	pins       int
+	dirty      bool
+	lastTick   uint64
+	prev, next *frame
 }
 
 // Pool is the buffer pool: a fixed number of frames caching heap-file pages
@@ -90,6 +94,8 @@ type Pool struct {
 	mu     sync.Mutex
 	opts   PoolOptions
 	frames map[PageKey]*frame
+	lru    recencyList // resident frames in Fetch order; FetchScan leaves it alone
+	cands  []PageKey   // eviction scratch, reused so a warm pool does not allocate
 	files  map[*HeapFile]uint32
 	nextID uint32
 	tick   uint64
@@ -117,6 +123,7 @@ func NewPool(opts PoolOptions) *Pool {
 		frames: make(map[PageKey]*frame, opts.Capacity),
 		files:  make(map[*HeapFile]uint32),
 	}
+	p.lru.init()
 	if m := opts.Metrics; m != nil {
 		p.cHits = m.Counter("storage.pool.hits")
 		p.cMisses = m.Counter("storage.pool.misses")
@@ -159,7 +166,8 @@ type PageHandle struct {
 	released bool
 }
 
-// Page returns the pinned page. Valid until Unpin.
+// Page returns the pinned page. Valid until Unpin: after that a miss may
+// read another page into the same buffer, so copy tuples out first.
 func (h *PageHandle) Page() *Page {
 	if h.fr == nil {
 		return h.page
@@ -216,15 +224,22 @@ func (p *Pool) Fetch(hf *HeapFile, pageNo int) (*PageHandle, error) {
 		p.hReuse.Observe(float64(p.tick - fr.lastTick))
 		fr.lastTick = p.tick
 		fr.pins++
+		p.lru.remove(fr)
+		p.lru.pushBack(fr)
 		p.notifyLocked(key, true)
 		return &PageHandle{pool: p, fr: fr, missed: false}, nil
 	}
+	var buf []byte
 	if len(p.frames) >= p.opts.Capacity {
-		if err := p.evictLocked(); err != nil {
+		victim, err := p.evictLocked()
+		if err != nil {
 			return nil, err
 		}
+		buf = victim.page.Bytes()
+	} else {
+		buf = make([]byte, PageSize)
 	}
-	page, err := hf.ReadPage(pageNo)
+	page, err := hf.readPageInto(buf, pageNo)
 	if err != nil {
 		return nil, err
 	}
@@ -232,6 +247,7 @@ func (p *Pool) Fetch(hf *HeapFile, pageNo int) (*PageHandle, error) {
 	p.cMisses.Inc()
 	fr := &frame{key: key, hf: hf, page: page, pins: 1, lastTick: p.tick}
 	p.frames[key] = fr
+	p.lru.pushBack(fr)
 	p.notifyLocked(key, false)
 	return &PageHandle{pool: p, fr: fr, missed: true}, nil
 }
@@ -278,43 +294,70 @@ func (p *Pool) notifyLocked(key PageKey, hit bool) {
 	}
 }
 
-// evictLocked frees one frame: unpinned candidates are offered to the
-// policy in sorted key order, the victim is written back if dirty, and the
-// eviction is logged when RecordEvictions is set.
-func (p *Pool) evictLocked() error {
-	cands := make([]PageKey, 0, len(p.frames))
-	for key, fr := range p.frames {
+// recencyList is an intrusive doubly linked list of frames in fetch order:
+// root.next is the least recently used frame, root.prev the most.
+type recencyList struct{ root frame }
+
+func (l *recencyList) init() { l.root.prev, l.root.next = &l.root, &l.root }
+
+// pushBack links fr at the most-recently-used end.
+func (l *recencyList) pushBack(fr *frame) {
+	fr.prev, fr.next = l.root.prev, &l.root
+	fr.prev.next = fr
+	l.root.prev = fr
+}
+
+// remove unlinks fr.
+func (l *recencyList) remove(fr *frame) {
+	fr.prev.next, fr.next.prev = fr.next, fr.prev
+	fr.prev, fr.next = nil, nil
+}
+
+// evictLocked frees one frame and returns it, unlinked and out of the frame
+// map, so the caller can read the incoming page into its buffer. Unpinned
+// candidates are offered to the policy least recently fetched first, the
+// victim is written back if dirty, and the eviction is logged when
+// RecordEvictions is set.
+func (p *Pool) evictLocked() (*frame, error) {
+	cands := p.cands[:0]
+	for fr := p.lru.root.next; fr != &p.lru.root; fr = fr.next {
 		if fr.pins == 0 {
-			cands = append(cands, key)
+			cands = append(cands, fr.key)
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].Less(cands[j]) })
+	p.cands = cands
 	if len(cands) == 0 {
-		return &AllPinnedError{Capacity: p.opts.Capacity}
+		return nil, &AllPinnedError{Capacity: p.opts.Capacity}
 	}
 	victim := p.opts.Policy.Victim(cands, p.tick)
 	fr, ok := p.frames[victim]
 	if !ok || fr.pins != 0 {
 		// A policy returning a non-candidate must not corrupt the pool:
-		// fall back to the first (lowest-key) candidate deterministically.
+		// fall back to the lowest-key candidate deterministically.
 		victim = cands[0]
+		for _, k := range cands[1:] {
+			if k.Less(victim) {
+				victim = k
+			}
+		}
 		fr = p.frames[victim]
 	}
 	if fr.dirty {
 		if err := fr.hf.WritePage(fr.page); err != nil {
-			return err
+			return nil, err
 		}
 		p.writebacks++
 		p.cWritebacks.Inc()
 	}
 	delete(p.frames, victim)
+	p.lru.remove(fr)
 	p.opts.Policy.OnRemove(victim)
 	p.evictions++
 	p.cEvictions.Inc()
 	if p.opts.RecordEvictions {
 		p.evictLog = append(p.evictLog, victim)
 	}
-	return nil
+	return fr, nil
 }
 
 // PoolStats is a snapshot of the pool's counters and occupancy.
@@ -438,6 +481,7 @@ func (p *Pool) ReleaseFile(hf *HeapFile) error {
 			p.cWritebacks.Inc()
 		}
 		delete(p.frames, key)
+		p.lru.remove(fr)
 		//ml4db:allow lockcheck "the policy is pool-owned single-threaded state driven strictly in access order under p.mu; snapshotting and calling outside would let a concurrent Fetch interleave OnAccess between the delete and the OnRemove"
 		p.opts.Policy.OnRemove(key)
 	}

@@ -45,6 +45,13 @@ fi
 echo "==> go test -race ./..."
 go test -race ./...
 
+# Fuzz the heap-page decoder briefly: the buffer pool reads untrusted disk
+# bytes into reused frame buffers through it. Minimization is off so a
+# 4 KiB interesting input cannot stall the run; a crasher still fails it and
+# lands in internal/storage/testdata/fuzz/ for replay.
+echo "==> fuzz heap-page decoder (5s)"
+go test -run '^$' -fuzz '^FuzzPageFromBytes$' -fuzztime=5s -fuzzminimizetime=0 ./internal/storage/
+
 # Compile-and-run the kernel benchmarks once (-benchtime=1x): not a timing
 # measurement, just a guard that the serial-vs-parallel benchmark paths and
 # their determinism checks keep working. Full numbers: ml4db-bench -kernels.
