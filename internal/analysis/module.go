@@ -35,13 +35,7 @@ type ModulePass struct {
 	// Targets are the packages being reported on.
 	Targets []*Package
 
-	targetPaths map[string]bool
-	sink        *[]Diagnostic
-}
-
-// IsTarget reports whether pkg is in the set being vetted.
-func (p *ModulePass) IsTarget(pkg *Package) bool {
-	return pkg != nil && p.targetPaths[pkg.Path]
+	sink *[]Diagnostic
 }
 
 // Reportf records a finding at pos.
@@ -155,18 +149,13 @@ func Analyze(targets, all []*Package, pkgAnalyzers []*Analyzer, modAnalyzers []*
 			all = targets
 		}
 		graph := BuildCallGraph(all)
-		targetPaths := map[string]bool{}
-		for _, pkg := range targets {
-			targetPaths[pkg.Path] = true
-		}
 		for _, a := range modAnalyzers {
 			a.Run(&ModulePass{
-				Analyzer:    a,
-				Graph:       graph,
-				Fset:        targets[0].Fset,
-				Targets:     targets,
-				targetPaths: targetPaths,
-				sink:        &diags,
+				Analyzer: a,
+				Graph:    graph,
+				Fset:     targets[0].Fset,
+				Targets:  targets,
+				sink:     &diags,
 			})
 		}
 	}

@@ -356,10 +356,3 @@ func (a *Autopilot) MemoryUsed() int64 {
 	defer a.mu.Unlock()
 	return a.memUsed
 }
-
-// TrialActive reports whether a shadow trial is open.
-func (a *Autopilot) TrialActive() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.trial != nil
-}

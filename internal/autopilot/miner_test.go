@@ -51,14 +51,16 @@ func minerFixture(t *testing.T) (*catalog.Catalog, *querystore.Store, *Autopilot
 }
 
 // record executes nothing: it plans q and feeds the store a synthetic
-// observation with the given work, which is all the miner consumes.
+// observation with the given work, which is all the miner consumes. The
+// empty Actuals stands in for an execution that observed zero rows
+// everywhere, so the store still harvests the statement template.
 func record(t *testing.T, cat *catalog.Catalog, store *querystore.Store, q *plan.Query, shape string, work int64) {
 	t.Helper()
 	p, err := optimizer.New(cat).Plan(q, optimizer.NoHint())
 	if err != nil {
 		t.Fatal(err)
 	}
-	store.Record(querystore.Observation{Shape: shape, Work: work, Rows: 1, Plan: p})
+	store.Record(querystore.Observation{Shape: shape, Work: work, Rows: 1, Plan: p, Actuals: plan.Actuals{}})
 }
 
 // TestMinerRanksByWindowedDelta checks that mining ranks statements by work

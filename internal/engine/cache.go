@@ -123,9 +123,10 @@ type cacheEntry struct {
 }
 
 // planCache is a mutex-guarded LRU of optimized plans shared by all sessions
-// of an engine. Plans are stored and served as deep clones: the executor
-// mutates ActualRows annotations in place, so handing the stored tree to two
-// concurrent sessions would race.
+// of an engine. It stores the planner's tree and serves that same pointer to
+// every hit: plans are read-only once planned (the executor reports per-node
+// observations in its Result, never in the tree), so concurrent sessions
+// share one tree without copying it.
 type planCache struct {
 	capacity int
 	metrics  *obs.Registry // nil-safe; counters under engine.plancache.*
@@ -147,8 +148,8 @@ func newPlanCache(capacity int, metrics *obs.Registry) *planCache {
 	}
 }
 
-// Get returns a deep clone of the cached plan for key, promoting the entry
-// to most recently used.
+// Get returns the cached plan for key, promoting the entry to most recently
+// used. The plan is shared: callers must not modify it.
 func (c *planCache) Get(key string) (*plan.Node, bool) {
 	c.mu.Lock()
 	el, ok := c.byKey[key]
@@ -158,15 +159,16 @@ func (c *planCache) Get(key string) (*plan.Node, bool) {
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	p := el.Value.(*cacheEntry).plan.Clone()
+	p := el.Value.(*cacheEntry).plan
 	c.mu.Unlock()
 	c.metrics.Counter("engine.plancache.hits").Inc()
 	return p, true
 }
 
-// Put stores a deep clone of the plan under key, evicting the least recently
-// used entry past capacity. Re-putting an existing key refreshes its
-// recency but keeps the first plan (both were built from identical inputs).
+// Put stores the plan under key, evicting the least recently used entry past
+// capacity; from then on the plan is shared and must not be modified.
+// Re-putting an existing key refreshes its recency but keeps the first plan
+// (both were built from identical inputs).
 func (c *planCache) Put(key string, p *plan.Node) {
 	c.mu.Lock()
 	if el, ok := c.byKey[key]; ok {
@@ -174,7 +176,7 @@ func (c *planCache) Put(key string, p *plan.Node) {
 		c.mu.Unlock()
 		return
 	}
-	c.byKey[key] = c.ll.PushFront(&cacheEntry{key: key, plan: p.Clone()})
+	c.byKey[key] = c.ll.PushFront(&cacheEntry{key: key, plan: p})
 	evicted := 0
 	for c.ll.Len() > c.capacity {
 		oldest := c.ll.Back()

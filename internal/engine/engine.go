@@ -73,7 +73,9 @@ type Options struct {
 // Result is the outcome of one engine query.
 type Result struct {
 	*exec.Result
-	// Plan is the executed physical plan (the session's private copy).
+	// Plan is the executed physical plan. It is shared with the plan cache
+	// and every session that hits the same entry, so it is read-only;
+	// per-node observations are on Result.Actuals.
 	Plan *plan.Node
 	// CacheHit reports whether the plan came from the shared plan cache.
 	CacheHit bool
@@ -147,14 +149,6 @@ func New(cat *catalog.Catalog, opts Options) *Engine {
 // Catalog returns the engine's catalog.
 func (e *Engine) Catalog() *catalog.Catalog { return e.cat }
 
-// StatsVersion returns the current catalog-statistics version. It starts at
-// zero and increments on every RefreshStats.
-func (e *Engine) StatsVersion() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.statsVersion
-}
-
 // EstimatorVersion returns the installed learned-estimator version (zero
 // when none is installed).
 func (e *Engine) EstimatorVersion() int {
@@ -222,14 +216,6 @@ func (e *Engine) RefreshStats(buckets, sampleSize int) {
 		e.cache.Invalidate()
 		e.opts.Metrics.Counter("engine.stats_refreshes").Inc()
 	})
-}
-
-// DesignVersion returns the physical-design version. It starts at zero and
-// increments on every NotifyDesignChange (and SetRewriters).
-func (e *Engine) DesignVersion() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.designVersion
 }
 
 // NotifyDesignChange records a physical-design mutation — an index built or
@@ -379,6 +365,7 @@ func (e *Engine) run(q *plan.Query, hint optimizer.HintSet, budget *exec.Budget,
 			o.Work = res.Work
 			o.Rows = int64(len(res.Rows))
 			o.PageMisses = res.Counters.PageMiss
+			o.Actuals = res.Actuals
 		}
 		st.Record(o)
 	}

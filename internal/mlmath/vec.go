@@ -26,13 +26,6 @@ func AddTo(dst, src []float64) {
 	}
 }
 
-// Scale multiplies every element of v by c in place.
-func Scale(v []float64, c float64) {
-	for i := range v {
-		v[i] *= c
-	}
-}
-
 // AXPY computes dst += a*x element-wise.
 func AXPY(dst []float64, a float64, x []float64) {
 	if len(dst) != len(x) {
@@ -59,9 +52,6 @@ func Clone(v []float64) []float64 {
 	copy(out, v)
 	return out
 }
-
-// Zeros returns a zero vector of length n.
-func Zeros(n int) []float64 { return make([]float64, n) }
 
 // Concat returns the concatenation of the given vectors.
 func Concat(vs ...[]float64) []float64 {

@@ -191,6 +191,12 @@ func writeAtomic(path string, data []byte) error {
 		_ = os.Remove(tmpName)
 		return fmt.Errorf("modelsvc: writing %s: %w", path, err)
 	}
+	// Sync data before the rename and the directory after it, or a crash can lose the version.
+	if err := tmp.Sync(); err != nil {
+		_ = tmp.Close()
+		_ = os.Remove(tmpName)
+		return fmt.Errorf("modelsvc: writing %s: %w", path, err)
+	}
 	if err := tmp.Close(); err != nil {
 		_ = os.Remove(tmpName)
 		return fmt.Errorf("modelsvc: writing %s: %w", path, err)
@@ -199,7 +205,23 @@ func writeAtomic(path string, data []byte) error {
 		_ = os.Remove(tmpName)
 		return fmt.Errorf("modelsvc: writing %s: %w", path, err)
 	}
+	if err := syncDir(filepath.Dir(path)); err != nil {
+		return fmt.Errorf("modelsvc: writing %s: %w", path, err)
+	}
 	return nil
+}
+
+// syncDir fsyncs a directory, making the entries renamed into it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		_ = d.Close()
+		return err
+	}
+	return d.Close()
 }
 
 // versionsLocked lists the published version numbers of name in ascending

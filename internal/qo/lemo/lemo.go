@@ -88,7 +88,7 @@ func rebind(e *entry, q *plan.Query) *plan.Node {
 		if n.IsLeaf() {
 			n.Filters = q.Filters[n.TablePos]
 		}
-		n.EstRows, n.EstCost, n.ActualRows = 0, 0, 0
+		n.EstRows, n.EstCost = 0, 0
 	})
 	return p
 }

@@ -52,8 +52,9 @@ type Options struct {
 }
 
 // Observation is one executed query as the engine saw it. Shape is the
-// engine's normalized statement key; Plan is the executed plan tree (the
-// session's private copy — the store only reads its annotations).
+// engine's normalized statement key; Plan is the executed plan tree, shared
+// and read-only, and Actuals is what that execution observed at each of its
+// nodes (exec.Result.Actuals).
 type Observation struct {
 	Shape            string
 	Work             int64
@@ -64,6 +65,7 @@ type Observation struct {
 	BudgetAbort      bool
 	EstimatorVersion int
 	Plan             *plan.Node
+	Actuals          plan.Actuals
 }
 
 // StatementStats is the accumulated record of one normalized statement.
@@ -340,23 +342,25 @@ type heatSample struct {
 	sel    float64
 }
 
-// harvest walks the executed plan tree. Budget-aborted executions are
-// skipped entirely: their ActualRows annotations describe a partial run.
+// harvest walks the executed plan tree, reading each node's estimate from
+// the tree and its actual rows from the observation's Actuals. An
+// observation without Actuals harvests nothing, and neither does a
+// budget-aborted one: its actuals describe a partial run.
 func (s *Store) harvest(o Observation) harvestResult {
 	var h harvestResult
-	if o.Plan == nil || o.BudgetAbort {
+	if o.Plan == nil || o.Actuals == nil || o.BudgetAbort {
 		return h
 	}
 	var sum float64
 	var nodes int64
 	o.Plan.Walk(func(n *plan.Node) {
-		q := pseudoQErr(n.EstRows, n.ActualRows)
+		q := pseudoQErr(n.EstRows, o.Actuals[n].Rows)
 		sum += q
 		nodes++
 		if q > h.qerrMax {
 			h.qerrMax = q
 		}
-		s.harvestHeat(&h, n)
+		s.harvestHeat(&h, n, o.Actuals)
 	})
 	if nodes > 0 {
 		h.ok = true
@@ -457,7 +461,7 @@ func resolveOutputPos(cat *catalog.Catalog, n *plan.Node, off int) (tablePos, co
 // right signal for "how selective are predicates touching this column".
 // Join nodes attribute the observed join selectivity (output over the
 // cross-product of the inputs) to both key columns.
-func (s *Store) harvestHeat(h *harvestResult, n *plan.Node) {
+func (s *Store) harvestHeat(h *harvestResult, n *plan.Node, act plan.Actuals) {
 	cat := s.opts.Catalog
 	if n.IsLeaf() {
 		for _, f := range n.Filters {
@@ -465,7 +469,7 @@ func (s *Store) harvestHeat(h *harvestResult, n *plan.Node) {
 			if cat != nil {
 				if rows := cat.Table(n.TableID).NumRows(); rows > 0 {
 					sample.hasSel = true
-					sample.sel = n.ActualRows / float64(rows)
+					sample.sel = act[n].Rows / float64(rows)
 				}
 			}
 			h.heat = append(h.heat, sample)
@@ -481,11 +485,11 @@ func (s *Store) harvestHeat(h *harvestResult, n *plan.Node) {
 	if !lok || !rok {
 		return
 	}
-	cross := l.ActualRows * r.ActualRows
+	cross := act[l].Rows * act[r].Rows
 	sel := 0.0
 	hasSel := cross > 0
 	if hasSel {
-		sel = n.ActualRows / cross
+		sel = act[n].Rows / cross
 	}
 	h.heat = append(h.heat,
 		heatSample{table: lt, col: lc, join: true, hasSel: hasSel, sel: sel},

@@ -123,12 +123,13 @@ func TestQErrAndHeatHarvest(t *testing.T) {
 	// A join plan with known annotations: scan(t0, b=1) est 4 actual 3,
 	// scan(t1) est 20 actual 20, join on t0.a = t1.c est 10 actual 6.
 	l := plan.NewScan(0, 0, []expr.Pred{{Col: 1, Op: expr.EQ, Lo: 1}})
-	l.EstRows, l.ActualRows = 4, 3
+	l.EstRows = 4
 	r := plan.NewScan(1, 1, nil)
-	r.EstRows, r.ActualRows = 20, 20
+	r.EstRows = 20
 	j := plan.NewJoin(plan.OpHashJoin, l, r, 0, 0) // t0 col a, t1 col c
-	j.EstRows, j.ActualRows = 10, 6
-	s.Record(Observation{Shape: "q", Plan: j, EstimatorVersion: 2})
+	j.EstRows = 10
+	act := plan.Actuals{l: {Rows: 3}, r: {Rows: 20}, j: {Rows: 6}}
+	s.Record(Observation{Shape: "q", Plan: j, Actuals: act, EstimatorVersion: 2})
 
 	stmts := s.Statements()
 	if len(stmts) != 1 {
@@ -171,10 +172,16 @@ func TestQErrAndHeatHarvest(t *testing.T) {
 	}
 
 	// A budget abort contributes counters but no harvest.
-	s.Record(Observation{Shape: "q", Plan: j, BudgetAbort: true})
+	s.Record(Observation{Shape: "q", Plan: j, Actuals: act, BudgetAbort: true})
 	st = s.Statements()[0]
 	if st.Calls != 2 || st.QErrCount != 1 {
 		t.Errorf("abort harvested: %+v", st)
+	}
+	// So does an observation that carries a plan but no actuals.
+	s.Record(Observation{Shape: "q", Plan: j})
+	st = s.Statements()[0]
+	if st.Calls != 3 || st.QErrCount != 1 {
+		t.Errorf("observation without actuals harvested: %+v", st)
 	}
 }
 
@@ -245,15 +252,16 @@ func TestRecencyAndTemplateHarvest(t *testing.T) {
 	s, mc := manualStore(Options{Catalog: cat})
 
 	l := plan.NewScan(0, 0, []expr.Pred{{Col: 1, Op: expr.BETWEEN, Lo: 1, Hi: 3}})
-	l.EstRows, l.ActualRows = 4, 3
+	l.EstRows = 4
 	r := plan.NewScan(1, 1, nil)
-	r.EstRows, r.ActualRows = 20, 20
+	r.EstRows = 20
 	j := plan.NewJoin(plan.OpHashJoin, l, r, 0, 0)
-	j.EstRows, j.ActualRows = 10, 6
+	j.EstRows = 10
+	act := plan.Actuals{l: {Rows: 3}, r: {Rows: 20}, j: {Rows: 6}}
 
-	s.Record(Observation{Shape: "q", Plan: j, Rows: 6})
+	s.Record(Observation{Shape: "q", Plan: j, Actuals: act, Rows: 6})
 	mc.Advance(3100 * time.Millisecond)
-	s.Record(Observation{Shape: "q", Plan: j, Rows: 2})
+	s.Record(Observation{Shape: "q", Plan: j, Actuals: act, Rows: 2})
 
 	st := s.Statements()[0]
 	if st.LastWindow != 3 {

@@ -64,7 +64,8 @@ func (s *execState) seqScanDisk(n *plan.Node, t *catalog.Table) (rel, error) {
 		}
 		return admitted, err
 	})
-	n.ActualPageMisses = float64(s.ctr.PageMiss - missBefore)
+	misses := float64(s.ctr.PageMiss - missBefore)
+	s.observe(n, func(a *plan.Actual) { a.PageMisses = misses })
 	if err != nil {
 		return rel{}, err
 	}
@@ -151,10 +152,15 @@ func (s *execState) indexScanDisk(n *plan.Node, t *catalog.Table, ix *catalog.Se
 		}
 		return nil
 	}()
-	n.ActualPageMisses = float64(s.ctr.PageMiss - missBefore)
+	misses := float64(s.ctr.PageMiss - missBefore)
+	s.observe(n, func(a *plan.Actual) {
+		a.PageMisses = misses
+		if err == nil {
+			a.Fetched = float64(len(ids))
+		}
+	})
 	if err != nil {
 		return rel{}, err
 	}
-	n.ActualFetched = float64(len(ids))
 	return rel{n: len(cols[0]), segs: []seg{{cols: cols}}}, nil
 }

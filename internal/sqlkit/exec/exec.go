@@ -119,6 +119,10 @@ type Result struct {
 	Counters Counters
 	// Explain holds per-operator stats when Options.Analyze was set.
 	Explain *Explain
+	// Actuals holds what the execution observed at each plan node: output
+	// rows, index fetches, and page misses. After a budget abort it
+	// describes a partial run.
+	Actuals plan.Actuals
 }
 
 // Executor runs plans against a catalog. The observability fields are all
@@ -139,16 +143,17 @@ type Executor struct {
 // New returns an executor over the catalog.
 func New(cat *catalog.Catalog) *Executor { return &Executor{Cat: cat} }
 
-// Execute runs the plan and returns the result. Node.ActualRows annotations
-// are filled in along the way.
+// Execute runs the plan and returns the result, with the per-node
+// observations in Result.Actuals. It never writes into the plan, so one tree
+// may be executed by many goroutines at once.
 func (e *Executor) Execute(root *plan.Node, opts Options) (*Result, error) {
 	res, _, err := e.execute(root, opts, true)
 	return res, err
 }
 
-// ExecuteCount is Execute but discards rows, returning only cardinality and
-// work — the common case for training-signal collection. The output is
-// never materialized.
+// ExecuteCount is Execute but discards rows and per-node observations,
+// returning only cardinality and work — the common case for training-signal
+// collection. The output is never materialized.
 func (e *Executor) ExecuteCount(root *plan.Node, opts Options) (card int, work int64, err error) {
 	res, card, err := e.execute(root, opts, false)
 	if err != nil {
@@ -157,10 +162,13 @@ func (e *Executor) ExecuteCount(root *plan.Node, opts Options) (card int, work i
 	return card, res.Work, nil
 }
 
-// execute runs the plan and returns the result, with Rows materialized when
-// asked, and the output cardinality.
+// execute runs the plan and returns the result, with Rows and Actuals
+// filled when asked, and the output cardinality.
 func (e *Executor) execute(root *plan.Node, opts Options, materialize bool) (*Result, int, error) {
 	st := &execState{cat: e.Cat, pool: opts.Pool}
+	if materialize {
+		st.act = make(plan.Actuals, root.NumNodes())
+	}
 	if opts.Budget != nil {
 		st.maxWork, st.maxRows = opts.Budget.MaxWork, opts.Budget.MaxRows
 	}
@@ -174,7 +182,7 @@ func (e *Executor) execute(root *plan.Node, opts Options, materialize bool) (*Re
 		st.cur = st.tr.StartSpan("exec.execute", opts.Span)
 	}
 	out, err := st.run(root)
-	res := &Result{Work: st.work, Counters: st.ctr, Explain: st.ex}
+	res := &Result{Work: st.work, Counters: st.ctr, Explain: st.ex, Actuals: st.act}
 	if err == nil && materialize {
 		res.Rows = out.rows()
 	}
@@ -202,6 +210,8 @@ type execState struct {
 	// kernels never touch this struct: the coordinator charges their
 	// results in shard order (see exchange.go).
 	pool *mlmath.Pool
+	// act receives the per-node observations; nil means none are kept.
+	act plan.Actuals
 
 	// Observability state, all nil/unused on the fast path.
 	ex    *Explain
@@ -229,6 +239,17 @@ func (s *execState) chargeRows(n int64) error {
 		return &BudgetExceededError{Kind: "rows", Limit: s.maxRows, Used: s.rows}
 	}
 	return nil
+}
+
+// observe updates the node's entry in the execution's Actuals; it does
+// nothing when the execution keeps none.
+func (s *execState) observe(n *plan.Node, set func(a *plan.Actual)) {
+	if s.act == nil {
+		return
+	}
+	a := s.act[n]
+	set(&a)
+	s.act[n] = a
 }
 
 // run evaluates one plan node. The fast path — no EXPLAIN ANALYZE, no
@@ -286,7 +307,8 @@ func (s *execState) dispatch(n *plan.Node) (out rel, err error) {
 	if err != nil {
 		return rel{}, err
 	}
-	n.ActualRows = float64(out.n)
+	rows := float64(out.n)
+	s.observe(n, func(a *plan.Actual) { a.Rows = rows })
 	return out, nil
 }
 
@@ -360,7 +382,7 @@ func (s *execState) indexScan(n *plan.Node) (rel, error) {
 	if _, err := s.chargeRun(&s.ctr.IndexFetch, nil, r); err != nil {
 		return rel{}, err
 	}
-	n.ActualFetched = float64(len(ids))
+	s.observe(n, func(a *plan.Actual) { a.Fetched = float64(len(ids)) })
 	return rel{n: len(sel), segs: []seg{{cols: append([][]int64(nil), t.Data...), sel: sel}}}, nil
 }
 

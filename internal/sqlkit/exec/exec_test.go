@@ -47,8 +47,8 @@ func TestSeqScanWithFilters(t *testing.T) {
 	if res.Work != 4 {
 		t.Errorf("scan work = %d, want 4 (one per input row)", res.Work)
 	}
-	if scan.ActualRows != 3 {
-		t.Errorf("ActualRows = %v, want 3", scan.ActualRows)
+	if got := res.Actuals[scan].Rows; got != 3 {
+		t.Errorf("Actuals rows = %v, want 3", got)
 	}
 }
 

@@ -71,7 +71,7 @@ func TestExplainWorkSumsToCounters(t *testing.T) {
 }
 
 // TestExplainRowsMatchActualRows ties the EXPLAIN ANALYZE readout back to the
-// executor's per-node annotations.
+// executor's per-node Actuals.
 func TestExplainRowsMatchActualRows(t *testing.T) {
 	cat, q := threeTableJoin(t)
 	opt := optimizer.New(cat)
@@ -91,8 +91,8 @@ func TestExplainRowsMatchActualRows(t *testing.T) {
 		if st.Loops != 1 {
 			t.Fatalf("node %s loops=%d, want 1", n.Op, st.Loops)
 		}
-		if float64(st.Rows) != n.ActualRows {
-			t.Fatalf("node %s: Explain rows=%d, ActualRows=%g", n.Op, st.Rows, n.ActualRows)
+		if got := res.Actuals[n].Rows; float64(st.Rows) != got {
+			t.Fatalf("node %s: Explain rows=%d, Actuals rows=%g", n.Op, st.Rows, got)
 		}
 	})
 }

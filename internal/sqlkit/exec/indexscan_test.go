@@ -49,8 +49,8 @@ func TestIndexScanMatchesSeqScan(t *testing.T) {
 	if ri.Counters.IndexFetch == 0 || ri.Counters.IndexProbe == 0 {
 		t.Errorf("index counters not charged: %+v", ri.Counters)
 	}
-	if idx.ActualFetched < idx.ActualRows {
-		t.Errorf("fetched %v < output %v", idx.ActualFetched, idx.ActualRows)
+	if a := ri.Actuals[idx]; a.Fetched < a.Rows {
+		t.Errorf("fetched %v < output %v", a.Fetched, a.Rows)
 	}
 }
 

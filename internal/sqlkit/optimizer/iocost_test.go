@@ -74,10 +74,9 @@ func TestPlanCostActualUsesRecordedMisses(t *testing.T) {
 	o := New(cat)
 	o.Cost = TrueCostParams()
 	n := plan.NewScan(0, 0, nil)
-	n.ActualRows = 500
-	n.ActualPageMisses = 3
+	act := plan.Actuals{n: {Rows: 500, PageMisses: 3}}
 	want := o.Cost.ScanCost(500) + 3
-	if got := o.PlanCostActual(n); got != want {
+	if got := o.PlanCostActual(n, act); got != want {
 		t.Fatalf("PlanCostActual = %v, want %v", got, want)
 	}
 }

@@ -432,29 +432,26 @@ func (o *Optimizer) Annotate(q *plan.Query, n *plan.Node) float64 {
 }
 
 // PlanCostActual computes the formula cost of a plan using the *actual* row
-// counts recorded by a previous execution — the quantity ParamTree fits its
-// parameters against.
-func (o *Optimizer) PlanCostActual(n *plan.Node) float64 {
-	return planCostWith(o.Cat, o.Cost, n, func(x *plan.Node) float64 { return x.ActualRows })
-}
-
-func planCostWith(cat *catalog.Catalog, p CostParams, n *plan.Node, rows func(*plan.Node) float64) float64 {
+// counts a previous execution of it observed (exec.Result.Actuals) — the
+// quantity ParamTree fits its parameters against.
+func (o *Optimizer) PlanCostActual(n *plan.Node, act plan.Actuals) float64 {
+	p := o.Cost
 	if n.IsLeaf() {
-		t := cat.Table(n.TableID)
+		t := o.Cat.Table(n.TableID)
 		// The I/O term uses the misses the execution actually charged, so
 		// true params reproduce actual work exactly on disk tables too.
-		io := p.PageRead * n.ActualPageMisses
+		io := p.PageRead * act[n].PageMisses
 		if n.Op == plan.OpIndexScan {
-			return p.IndexScanCost(float64(t.NumRows()), n.ActualFetched) + io
+			return p.IndexScanCost(float64(t.NumRows()), act[n].Fetched) + io
 		}
 		return p.ScanCost(float64(t.NumRows())) + io
 	}
 	if n.Op == plan.OpHashAgg {
-		c := planCostWith(cat, p, n.Children[0], rows)
-		return c + p.AggCost(rows(n.Children[0]), rows(n))
+		c := o.PlanCostActual(n.Children[0], act)
+		return c + p.AggCost(act[n.Children[0]].Rows, act[n].Rows)
 	}
-	c := planCostWith(cat, p, n.Children[0], rows) + planCostWith(cat, p, n.Children[1], rows)
-	return c + p.JoinCost(n.Op, rows(n.Children[0]), rows(n.Children[1]), rows(n))
+	c := o.PlanCostActual(n.Children[0], act) + o.PlanCostActual(n.Children[1], act)
+	return c + p.JoinCost(n.Op, act[n.Children[0]].Rows, act[n.Children[1]].Rows, act[n].Rows)
 }
 
 // CheapestHint plans q under every hint set and returns the plans with their

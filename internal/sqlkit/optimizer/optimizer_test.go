@@ -220,7 +220,7 @@ func TestTrueCostMatchesExecutorWork(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := o.PlanCostActual(p)
+		got := o.PlanCostActual(p, res.Actuals)
 		ratio := got / float64(res.Work)
 		if math.Abs(ratio-1) > 0.15 {
 			t.Errorf("hint %s: formula cost %v vs executor work %d (ratio %.3f)", h.Name, got, res.Work, ratio)

@@ -136,9 +136,13 @@ var AllJoinOps = []OpType{OpHashJoin, OpNLJoin, OpMergeJoin}
 
 // Node is a physical plan node. A leaf is a SeqScan of a base table with
 // pushed-down filters; internal nodes are joins. Cost and cardinality
-// annotations are filled by the optimizer; ActualRows by the executor. These
-// annotations are the "database statistics" features of plan representation
-// (§3.1).
+// annotations are filled by the optimizer; they are the "database
+// statistics" features of plan representation (§3.1).
+//
+// A plan is read-only once the optimizer returns it: the executor records
+// what it observed in a per-execution Actuals, never in the tree, so one
+// tree can be cached and run by many sessions at once. Code that needs a
+// variant of a plan mutates its own Clone.
 type Node struct {
 	Op       OpType
 	Children []*Node
@@ -174,15 +178,23 @@ type Node struct {
 	// EstFetched is the optimizer's estimate of rows fetched through the
 	// index before residual filtering (IndexScan only).
 	EstFetched float64
-
-	// Executor annotations.
-	ActualRows float64
-	// ActualFetched counts rows fetched through the index (IndexScan only).
-	ActualFetched float64
-	// ActualPageMisses counts buffer-pool misses this scan charged
-	// (disk-backed tables only; zero for in-memory scans).
-	ActualPageMisses float64
 }
+
+// Actual is what one execution observed at one plan node.
+type Actual struct {
+	// Rows is the node's output cardinality.
+	Rows float64
+	// Fetched counts rows fetched through the index (IndexScan only).
+	Fetched float64
+	// PageMisses counts buffer-pool misses this scan charged (disk-backed
+	// tables only; zero for in-memory scans).
+	PageMisses float64
+}
+
+// Actuals is one execution's per-node observations, keyed by node the way
+// EXPLAIN ANALYZE is: a node referenced twice in one tree holds one entry,
+// written by its last run. A node that never ran reads as the zero Actual.
+type Actuals map[*Node]Actual
 
 // IsLeaf reports whether the node is a scan.
 func (n *Node) IsLeaf() bool { return len(n.Children) == 0 }

@@ -167,8 +167,8 @@ func TraceSamples(trace []PageKey, horizon int) []Sample {
 // MLPScorer is a trained eviction scorer: an MLP regressing log1p forward
 // reuse distance from EvictionFeatures. It implements modelsvc.Predictor
 // for serving through a Gate and nn.Module for publication through a
-// modelsvc.Registry (PublishScorer/LoadScorer), so every candidate's
-// lineage is versioned and checksummed.
+// modelsvc.Registry (modelsvc.PublishModule/LoadModule), so every
+// candidate's lineage is versioned and checksummed.
 type MLPScorer struct {
 	M *nn.MLP
 }
@@ -211,22 +211,4 @@ func TrainScorer(samples []Sample, seed uint64, epochs int, pool *mlmath.Pool) (
 		Pool:      pool,
 	})
 	return sc, nil
-}
-
-// PublishScorer records a trained scorer in the registry under name,
-// returning the manifest (version, arch hash, sha256) that tracks the
-// candidate's lineage.
-func PublishScorer(reg *modelsvc.Registry, name string, s *MLPScorer, meta map[string]string) (modelsvc.Manifest, error) {
-	return modelsvc.PublishModule(reg, name, s, meta)
-}
-
-// LoadScorer loads version of name from the registry into a
-// freshly-architected scorer (arch-hash checked before weights mutate).
-func LoadScorer(reg *modelsvc.Registry, name string, version int) (*MLPScorer, modelsvc.Manifest, error) {
-	s := NewMLPScorer(0)
-	man, err := modelsvc.LoadModule(reg, name, version, s)
-	if err != nil {
-		return nil, modelsvc.Manifest{}, err
-	}
-	return s, man, nil
 }

@@ -137,9 +137,6 @@ func NewPool(opts PoolOptions) *Pool {
 // Capacity returns the frame count.
 func (p *Pool) Capacity() int { return p.opts.Capacity }
 
-// PolicyName returns the active eviction policy's name.
-func (p *Pool) PolicyName() string { return p.opts.Policy.Name() }
-
 // fileID registers hf on first use. Registration order follows first-fetch
 // order, so key assignment is deterministic for a deterministic workload.
 func (p *Pool) fileID(hf *HeapFile) uint32 {

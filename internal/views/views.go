@@ -122,9 +122,6 @@ func NewHypothetical(c Candidate, tableID, leftCols int) *Materialized {
 	return &Materialized{Cand: c, TableID: tableID, leftCols: leftCols}
 }
 
-// LeftCols returns the left table's column count in the view's layout.
-func (m *Materialized) LeftCols() int { return m.leftCols }
-
 // Rewrite replaces the first occurrence of the view's join pair in q with
 // the materialized view: the two base tables become one view table, filters
 // move to the view's columns, and remaining joins re-anchor onto it.

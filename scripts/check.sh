@@ -52,6 +52,12 @@ go test -race ./...
 echo "==> fuzz heap-page decoder (5s)"
 go test -run '^$' -fuzz '^FuzzPageFromBytes$' -fuzztime=5s -fuzzminimizetime=0 ./internal/storage/
 
+# Fuzz the SQL parser the same way: it takes statement text from any
+# session. Parse must never panic, and every statement it accepts must
+# resolve only to catalog tables and columns.
+echo "==> fuzz SQL parser (5s)"
+go test -run '^$' -fuzz '^FuzzParse$' -fuzztime=5s -fuzzminimizetime=0 ./internal/sqlkit/sqlparse/
+
 # Compile-and-run the kernel benchmarks once (-benchtime=1x): not a timing
 # measurement, just a guard that the serial-vs-parallel benchmark paths and
 # their determinism checks keep working. Full numbers: ml4db-bench -kernels.
